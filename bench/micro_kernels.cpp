@@ -417,7 +417,7 @@ BM_DescentSolve(benchmark::State &state)
         core::DescentSolver solver(3, options);
         const auto result = solver.solve();
         cost = result.cost;
-        benchmark::DoNotOptimize(result.cost);
+        benchmark::DoNotOptimize(cost);
     }
     state.counters["cost"] = static_cast<double>(cost);
 }

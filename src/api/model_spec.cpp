@@ -30,6 +30,20 @@ parseCount(std::string_view text)
     return value;
 }
 
+/** "<length>x<width>" as two strict counts; nullopt otherwise. */
+std::optional<std::pair<std::size_t, std::size_t>>
+parseLattice(std::string_view text)
+{
+    const std::size_t x = text.find('x');
+    if (x == std::string_view::npos)
+        return std::nullopt;
+    const auto length = parseCount(text.substr(0, x));
+    const auto width = parseCount(text.substr(x + 1));
+    if (!length || !width)
+        return std::nullopt;
+    return std::make_pair(*length, *width);
+}
+
 bool
 failSpec(std::string *error, std::string message)
 {
@@ -122,20 +136,17 @@ applyModelSpec(std::string_view spec, CompilationRequest &request,
         return true;
     }
     if (family == "hubbard") {
-        const std::size_t x = args.find('x');
-        if (x == std::string_view::npos)
+        const auto lattice = parseLattice(args);
+        if (!lattice || lattice->first == 0 || lattice->second == 0)
             return reject("expected hubbard:<length>x<width>");
-        const auto length = parseCount(args.substr(0, x));
-        const auto width = parseCount(args.substr(x + 1));
-        if (!length || !width || *length == 0 || *width == 0)
-            return reject("expected hubbard:<length>x<width>");
-        const std::size_t sites = *length * *width;
+        const auto [length, width] = *lattice;
+        const std::size_t sites = length * width;
         if (sites < 2)
             return reject("lattice needs at least 2 sites");
         if (!checkModes(2 * sites))
             return false;
         request.hamiltonian = fermion::fermiHubbard(
-            sites, hubbardLatticeEdges(*length, *width),
+            sites, hubbardLatticeEdges(length, width),
             kHubbardT, kHubbardU);
         return true;
     }
@@ -193,28 +204,16 @@ expandModelRanges(const std::string &model)
         // hubbard:L1xW1..L2xW2 sweeps both dimensions.
         const std::size_t dots = args.find("..");
         if (dots != std::string::npos) {
-            const std::string low = args.substr(0, dots);
-            const std::string high = args.substr(dots + 2);
-            const std::size_t x1 = low.find('x');
-            const std::size_t x2 = high.find('x');
-            const auto l1 = parseCount(
-                std::string_view(low).substr(0, x1));
-            const auto w1 =
-                x1 == std::string::npos
-                    ? std::nullopt
-                    : parseCount(std::string_view(low).substr(x1 + 1));
-            const auto l2 = parseCount(
-                std::string_view(high).substr(0, x2));
-            const auto w2 =
-                x2 == std::string::npos
-                    ? std::nullopt
-                    : parseCount(
-                          std::string_view(high).substr(x2 + 1));
-            if (!l1 || !w1 || !l2 || !w2 || *l1 > *l2 || *w1 > *w2)
+            const auto low =
+                parseLattice(std::string_view(args).substr(0, dots));
+            const auto high =
+                parseLattice(std::string_view(args).substr(dots + 2));
+            if (!low || !high || low->first > high->first ||
+                low->second > high->second)
                 fatal("malformed warm range '", model,
                       "': expected hubbard:L1xW1..L2xW2");
-            for (std::size_t w = *w1; w <= *w2; ++w)
-                for (std::size_t l = *l1; l <= *l2; ++l)
+            for (std::size_t w = low->second; w <= high->second; ++w)
+                for (std::size_t l = low->first; l <= high->first; ++l)
                     specs.push_back("hubbard:" + std::to_string(l) +
                                     "x" + std::to_string(w));
             return specs;

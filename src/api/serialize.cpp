@@ -374,7 +374,10 @@ tryParseResult(std::string_view text)
             parseLabel(line.substr(second + 1), ham_qubits);
         if (!re || !im || !string || string->phaseExp() != 0)
             return std::nullopt;
-        result.qubitHamiltonian.add({*re, *im}, *string);
+        // Verbatim: folding the (trivial) phase would turn a -0.0
+        // coefficient part into +0.0 and break the byte round trip.
+        result.qubitHamiltonian.add(
+            pauli::PauliTerm{{*re, *im}, *string});
     }
 
     const std::size_t group_count = reader.takeSize("groups");

@@ -227,7 +227,9 @@ CompilerService::diskEntryPath(const std::string &key) const
     std::filesystem::path path(options.diskCachePath);
     if (options.diskCacheShards > 0) {
         // Sharded layout: <store>/<hash mod N as %02x>/<hash>.fhc.
-        char shard[16];
+        // Room for a full 64-bit value: the compiler cannot bound
+        // the shard count.
+        char shard[17];
         std::snprintf(shard, sizeof shard, "%02llx",
                       static_cast<unsigned long long>(
                           hash % options.diskCacheShards));
@@ -577,7 +579,8 @@ CompilerService::recordStatus(ResultStatus status)
 }
 
 std::future<CompilationResult>
-CompilerService::submit(CompilationRequest request)
+CompilerService::submit(CompilationRequest request,
+                        std::function<void()> on_ready)
 {
     // Fail fast on unknown strategies (with the nearest-name
     // suggestion) instead of burying the diagnostic in a future.
@@ -637,7 +640,7 @@ CompilerService::submit(CompilationRequest request)
             shed = true;
         } else {
             future = task.get_future();
-            queue.push_back(std::move(task));
+            queue.push_back({std::move(task), std::move(on_ready)});
         }
     }
     if (shed) {
@@ -651,6 +654,8 @@ CompilerService::submit(CompilationRequest request)
             "); request shed";
         std::promise<CompilationResult> ready;
         ready.set_value(std::move(result));
+        if (on_ready)
+            on_ready();
         return ready.get_future();
     }
     metrics.queueDepth.add(1);
@@ -682,7 +687,7 @@ CompilerService::workerLoop()
     // head-of-line cost at (queue depth / workers), which is what
     // the daemon's pipelined out-of-order responses rely on.
     for (;;) {
-        std::packaged_task<CompilationResult()> task;
+        QueuedTask queued;
         {
             std::unique_lock lock(queueMutex);
             queueCv.wait(lock, [this] {
@@ -690,13 +695,17 @@ CompilerService::workerLoop()
             });
             if (queue.empty())
                 return; // stopping, and fully drained
-            task = std::move(queue.front());
+            queued = std::move(queue.front());
             queue.pop_front();
         }
         // packaged_task stores exceptions in its future, and with
         // guardedCompile it no longer stores even those: every
         // failure is an Error-status result.
-        task();
+        queued.task();
+        // After task(), so whoever the callback wakes finds the
+        // future ready.
+        if (queued.onReady)
+            queued.onReady();
     }
 }
 

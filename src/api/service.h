@@ -75,6 +75,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <list>
 #include <memory>
@@ -215,8 +216,17 @@ class CompilerService
      * the returned future as ResultStatus::Error results —
      * future.get() never throws. A full queue (maxQueueDepth)
      * returns an immediately-ready ResultStatus::Shed result.
+     *
+     * on_ready, when set, runs exactly once, after the returned
+     * future is ready: on the worker thread that computed the
+     * result, or on the caller's thread before submit() returns for
+     * a Shed result. It runs outside every service lock and must
+     * not throw. An event loop passes its wake-up here so that it
+     * can block until a result exists instead of polling futures.
      */
-    std::future<CompilationResult> submit(CompilationRequest request);
+    std::future<CompilationResult> submit(
+        CompilationRequest request,
+        std::function<void()> on_ready = {});
 
     /** Submit every request, wait for all, return in order. */
     std::vector<CompilationResult> compileBatch(
@@ -305,9 +315,16 @@ class CompilerService
     std::unordered_map<std::string, std::shared_ptr<InflightSearch>>
         inflight;
 
+    /** A submitted request and its completion callback. */
+    struct QueuedTask
+    {
+        std::packaged_task<CompilationResult()> task;
+        std::function<void()> onReady;
+    };
+
     std::mutex queueMutex;
     std::condition_variable queueCv;
-    std::deque<std::packaged_task<CompilationResult()>> queue;
+    std::deque<QueuedTask> queue;
     bool stopping = false;
     std::vector<std::thread> workers;
 };

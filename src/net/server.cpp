@@ -14,12 +14,6 @@ namespace fermihedral::net {
 
 namespace {
 
-/** Poll timeout while compile futures are pending (ms). */
-constexpr int kBusyPollMs = 2;
-
-/** Poll timeout while fully idle (ms). */
-constexpr int kIdlePollMs = 500;
-
 /** Read chunk size per read() call. */
 constexpr std::size_t kReadChunk = 64 * 1024;
 
@@ -165,7 +159,8 @@ EncodingServer::startCompile(std::uint64_t conn_id,
     PendingCompile entry;
     entry.connId = conn_id;
     entry.requestId = id;
-    entry.future = compiler.submit(*std::move(request));
+    entry.future =
+        compiler.submit(*std::move(request), [this] { loop.wake(); });
     pending.push_back(std::move(entry));
 }
 
@@ -307,10 +302,8 @@ EncodingServer::run()
             interests.push_back({state->fd, true,
                                  state->conn.hasOutput()});
 
-        const int timeout =
-            pending.empty() ? kIdlePollMs : kBusyPollMs;
-        const std::vector<Event> events =
-            loop.poll(interests, timeout);
+        // No timeout: completions and stop() wake the loop.
+        const std::vector<Event> events = loop.poll(interests, -1);
 
         for (const Event &event : events) {
             if (event.fd == tcpListener ||

@@ -9,11 +9,11 @@
  * per-connection locks.
  *
  * Completion model: COMPILE frames become CompilerService::submit()
- * futures. While any are pending the loop polls with a short
- * timeout (~2 ms) and checks each future with wait_for(0); the
- * bounded extra latency this adds sits outside the service's own
- * submit-to-complete histogram, so service.latency_seconds stays
- * honest. CANCEL frames flip the stored CancellationToken of the
+ * futures whose completion callback calls EventLoop::wake(), so the
+ * loop wakes as soon as a result exists and reaps every ready
+ * future with wait_for(0). There is no timed poll: an idle loop
+ * blocks in poll(2) until a socket, a completion or stop() wakes
+ * it. CANCEL frames flip the stored CancellationToken of the
  * (connection, id) pair; the search observes it at its next budget
  * poll and the RESULT frame carries the typed degraded status.
  *
@@ -152,8 +152,10 @@ class EncodingServer
     void closeFinished();
 
     ServerOptions options;
-    api::CompilerService compiler;
+    // Declared before the service: ~CompilerService drains the
+    // compiles still in flight, and their callbacks wake the loop.
     EventLoop loop;
+    api::CompilerService compiler;
     std::atomic<bool> stopRequested{false};
 
     int tcpListener = -1;

@@ -28,6 +28,17 @@ PauliSum::add(std::complex<double> coefficient,
 }
 
 void
+PauliSum::add(const PauliTerm &term)
+{
+    require(term.string.numQubits() == n,
+            "PauliSum::add: string width ", term.string.numQubits(),
+            " != sum width ", n);
+    require(term.string.phaseExp() == 0,
+            "PauliSum::add: a stored term carries no phase");
+    termList.push_back(term);
+}
+
+void
 PauliSum::add(const PauliSum &other)
 {
     require(other.n == n, "PauliSum::add: width mismatch");

@@ -53,6 +53,12 @@ class PauliSum
     void add(std::complex<double> coefficient,
              const PauliString &string);
 
+    /**
+     * Add a phaseless term as is: its coefficient is stored bit for
+     * bit (no phase folding, so a -0.0 part stays -0.0).
+     */
+    void add(const PauliTerm &term);
+
     /** Add every term of another sum. */
     void add(const PauliSum &other);
 

@@ -137,11 +137,13 @@ TEST(Router, FuzzedCircuitsRoutePermutationEquivalent)
             routeCircuit(logical, topology, options);
 
         // Edge legality: every routed CNOT acts on an edge.
-        for (const auto &gate : routed.physical.gates())
-            if (circuit::isTwoQubit(gate.kind))
+        for (const auto &gate : routed.physical.gates()) {
+            if (circuit::isTwoQubit(gate.kind)) {
                 ASSERT_TRUE(
                     topology.hasEdge(gate.qubit0, gate.qubit1))
                     << "CNOT " << gate.qubit0 << "," << gate.qubit1;
+            }
+        }
 
         // Accounting: 3 extra CNOTs per SWAP, nothing else.
         EXPECT_EQ(routed.stats.twoQubitGates,

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -21,6 +23,7 @@
 #include "api/model_spec.h"
 #include "api/serialize.h"
 #include "api/service.h"
+#include "common/timer.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
@@ -397,6 +400,38 @@ TEST_F(NetDaemonTest, PipelinedRequestsCompleteOutOfOrder)
     const CompileReply reply = EncodingClient::decodeReply(*frame);
     EXPECT_EQ(reply.requestId, 1u);
     EXPECT_EQ(reply.status, api::ResultStatus::Cancelled);
+}
+
+TEST_F(NetDaemonTest, ShutdownWithASearchInFlightIsPrompt)
+{
+    ServerOptions options;
+    options.unixPath = socketPath();
+    auto daemon = std::make_unique<RunningDaemon>(options);
+    EncodingClient client = EncodingClient::overUnix(socketPath());
+
+    // Far too large to finish within its budgets.
+    api::RequestSpec spec;
+    spec.problem = "modes:8";
+    spec.strategy = "sat";
+    spec.stepTimeoutSeconds = 120.0;
+    spec.totalTimeoutSeconds = 120.0;
+    client.sendCompile(1, spec);
+    Timer waiting;
+    while (daemon->server.service().serviceStats().submitted == 0) {
+        ASSERT_LT(waiting.seconds(), 30.0) << "never submitted";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Let the worker get into the SAT search.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    // The server cancels the search; the service then drains it,
+    // and its completion callback wakes a loop that has stopped.
+    Timer shutdown;
+    daemon.reset();
+    // Milliseconds in a release build; sanitizer builds take seconds
+    // to reach the search's first cancellation check. Either way far
+    // below the budgets.
+    EXPECT_LT(shutdown.seconds(), 30.0);
 }
 
 } // namespace

@@ -396,6 +396,110 @@ TEST(ServiceFaults, IdenticalInflightRequestsComputeOnce)
     EXPECT_EQ(service.serviceStats().ok, 4u);
 }
 
+// --- completion callbacks ------------------------------------------
+
+/**
+ * A submit() completion callback that counts its calls and whether
+ * the future was ready at each one. The callback waits until the
+ * test has stored the future, so it can look at it whichever thread
+ * wins the race.
+ */
+struct ReadyProbe
+{
+    std::shared_future<CompilationResult> future;
+    std::promise<void> stored;
+    std::shared_future<void> storedSignal = stored.get_future().share();
+    std::atomic<int> calls{0};
+    std::atomic<int> readyCalls{0};
+
+    void
+    submitTo(CompilerService &service, CompilationRequest request)
+    {
+        const auto onReady = [this] {
+            storedSignal.wait();
+            if (future.wait_for(std::chrono::seconds(0)) ==
+                std::future_status::ready)
+                readyCalls.fetch_add(1);
+            calls.fetch_add(1);
+        };
+        future = service.submit(std::move(request), onReady).share();
+        stored.set_value();
+    }
+};
+
+TEST(ServiceFaults, CompletionCallbackFollowsMissAndMemoryHit)
+{
+    // The probes outlive the service: its destructor drains every
+    // callback, so the counts are final once it is gone.
+    ReadyProbe miss, hit;
+    {
+        ServiceOptions options;
+        options.threads = 2;
+        CompilerService service(options);
+        miss.submitTo(service, fastRequest(3, "jordan-wigner"));
+        EXPECT_FALSE(miss.future.get().fromCache);
+        hit.submitTo(service, fastRequest(3, "jordan-wigner"));
+        EXPECT_TRUE(hit.future.get().fromCache);
+        EXPECT_EQ(service.cacheStats().computes, 1u);
+        EXPECT_EQ(service.cacheStats().diskHits, 0u);
+    }
+    EXPECT_EQ(miss.calls.load(), 1);
+    EXPECT_EQ(miss.readyCalls.load(), 1);
+    EXPECT_EQ(hit.calls.load(), 1);
+    EXPECT_EQ(hit.readyCalls.load(), 1);
+}
+
+TEST(ServiceFaults, CompletionCallbackFollowsDispatchFailure)
+{
+    failpoint::disarmAll();
+    failpoint::arm("service.dispatch.fail", "always");
+    ReadyProbe probe;
+    {
+        CompilerService service;
+        probe.submitTo(service, fastRequest(3, "jordan-wigner"));
+        EXPECT_EQ(probe.future.get().status, ResultStatus::Error);
+    }
+    failpoint::disarmAll();
+    EXPECT_EQ(probe.calls.load(), 1);
+    EXPECT_EQ(probe.readyCalls.load(), 1);
+}
+
+TEST(ServiceFaults, ShedRequestRunsItsCallbackBeforeSubmitReturns)
+{
+    ensureBlockerRegistered();
+    blocker().reset();
+    ServiceOptions options;
+    options.threads = 1;
+    options.cacheCapacity = 0;
+    options.maxQueueDepth = 1;
+    std::atomic<int> calls{0};
+    std::thread::id ranOn;
+    {
+        CompilerService service(options);
+        auto blocked = service.submit(fastRequest(3, "test-blocker"));
+        waitFor([] { return blocker().entered.load() >= 1; },
+                "dispatcher to enter the blocking strategy");
+        auto queued = service.submit(fastRequest(3, "jordan-wigner"));
+        auto shed = service.submit(fastRequest(4, "jordan-wigner"), [&] {
+            calls.fetch_add(1);
+            ranOn = std::this_thread::get_id();
+        });
+        // On the caller's thread, with the future already ready.
+        const int callsAtReturn = calls.load();
+        const bool readyAtReturn =
+            shed.wait_for(std::chrono::seconds(0)) ==
+            std::future_status::ready;
+        blocker().release = true;
+        EXPECT_EQ(callsAtReturn, 1);
+        EXPECT_TRUE(readyAtReturn);
+        EXPECT_EQ(ranOn, std::this_thread::get_id());
+        EXPECT_EQ(shed.get().status, ResultStatus::Shed);
+        EXPECT_EQ(blocked.get().status, ResultStatus::Ok);
+        EXPECT_EQ(queued.get().status, ResultStatus::Ok);
+    }
+    EXPECT_EQ(calls.load(), 1);
+}
+
 // --- the disk cache under injected faults --------------------------
 
 TEST(ServiceFaults, TornWriteIsRejectedByCrcOnRead)
