@@ -110,11 +110,8 @@ DescentSolver::solve()
             start_cost = seed_cost;
         }
     }
-    const std::size_t w0 =
-        options.initialBound.value_or(start_cost);
-
-    // The starting encoding is itself feasible at cost w0, so the
-    // descent can begin by asking for strictly less.
+    // The starting encoding is itself feasible at start_cost, so
+    // the descent can begin by asking for strictly less.
     result.encoding = start;
     result.cost = start_cost;
 
@@ -150,7 +147,7 @@ DescentSolver::solve()
         options.algebraicIndependence;
     model_options.vacuumPreservation = options.vacuumPreservation;
     model_options.hamiltonianStructure = structure;
-    model_options.costCap = std::max<std::size_t>(w0, 1);
+    model_options.costCap = std::max<std::size_t>(start_cost, 1);
     model = std::make_unique<EncodingModel>(*solver, model_options);
     if (options.warmStart)
         model->warmStart(start);
@@ -159,12 +156,16 @@ DescentSolver::solve()
     result.numClauses = solver->numClauses();
 
     // Descent loop (Algorithm 1): each round permanently bounds the
-    // cost one below the best known solution.
-    std::size_t best = std::min(w0, start_cost);
+    // cost one below the best known solution. A total-weight search
+    // also ends at the Pauli-weight lower bound, where a cheaper
+    // encoding cannot exist; no sound bound is known for Eq. 14.
+    const std::size_t floor =
+        structure.empty() ? enc::totalWeightLowerBound(modes) : 0;
+    std::size_t best = start_cost;
     auto &step_seconds = telemetry::MetricsRegistry::global()
                              .histogram("descent.step_seconds");
     Timer solve_timer;
-    while (best > 0) {
+    while (best > floor) {
         if (stop_requested()) {
             result.termination = DescentTermination::Cancelled;
             break;
@@ -244,7 +245,7 @@ DescentSolver::solve()
         if (stop)
             break;
     }
-    if (best == 0)
+    if (best <= floor)
         result.provedOptimal = true;
     result.solveSeconds = solve_timer.seconds();
     result.satStats = solver->portfolioStats();

@@ -6,8 +6,12 @@
  * warm-starts the CDCL phases at the BK solution, and repeatedly
  * asks for an encoding strictly cheaper than the best found so far,
  * tightening the totalizer bound by one unit clause per round. The
- * loop ends with a proof of optimality (UNSAT) or when the per-step
- * or total budget expires (the paper's timeout termination).
+ * loop ends with a proof of optimality or when the per-step or
+ * total budget expires (the paper's timeout termination). A proof
+ * is an UNSAT answer at best - 1 or, for the total-weight objective
+ * only, a best cost that reached enc::totalWeightLowerBound: there
+ * no cheaper encoding exists, so the loop stops without the last
+ * SAT call the paper's Algorithm 1 would spend refuting one.
  *
  * Three configurations correspond to the paper's experiments:
  *  - Full SAT: all constraints, Ham.-independent or -dependent cost;
@@ -21,7 +25,8 @@
  *    yields DescentResult::encoding with cost == baselineCost.
  *  - result.cost is exact under the run's objective and equals
  *    costOf(result.encoding); provedOptimal is set only on a true
- *    UNSAT at cost - 1 (never on a timeout).
+ *    UNSAT at cost - 1 or when cost reached
+ *    enc::totalWeightLowerBound (never on a timeout).
  *  - The cost trajectory is strictly decreasing: each SAT model
  *    accepted during descent is strictly cheaper than the last.
  *  - enumerateOptimal() may only be called after solve(); calling
@@ -75,7 +80,10 @@ struct DescentProgress
 /** Why solve() stopped descending. */
 enum class DescentTermination
 {
-    /** Optimality proved (UNSAT at best - 1, or the bound hit 0). */
+    /**
+     * Optimality proved: UNSAT at best - 1, or best reached the
+     * total-weight lower bound (for Eq. 14, a cost of 0).
+     */
     Completed,
     /** The step/total wall budget expired (anytime answer). */
     BudgetExhausted,
@@ -191,9 +199,6 @@ struct DescentOptions
      */
     const std::atomic<bool> *stopFlag = nullptr;
 
-    /** Override the initial bound (default: Bravyi-Kitaev cost). */
-    std::optional<std::size_t> initialBound;
-
     /**
      * Extra starting candidate (e.g.\ a SAT+Anl. solution for the
      * Hamiltonian-dependent search). Used as warm start and initial
@@ -223,7 +228,10 @@ struct DescentResult
     /** Cost of the Bravyi-Kitaev baseline for reference. */
     std::size_t baselineCost = 0;
 
-    /** The final decrement was refuted: `cost` is proved optimal. */
+    /**
+     * `cost` is proved optimal: the final decrement was refuted, or
+     * `cost` is the total-weight lower bound.
+     */
     bool provedOptimal = false;
 
     /** Why the descent stopped (budget vs cancel vs proof). */

@@ -159,4 +159,22 @@ validateEncoding(const FermionEncoding &encoding)
     return result;
 }
 
+std::size_t
+totalWeightLowerBound(std::size_t modes)
+{
+    if (modes == 0)
+        return 0;
+    const std::size_t strings = 2 * modes;
+    // power = 3^k with k = floor(log3 strings).
+    std::size_t k = 0;
+    std::size_t power = 1;
+    while (power * 3 <= strings) {
+        power *= 3;
+        ++k;
+    }
+    // All strings at weight k + 1, less one for each string that
+    // fits at weight k: 3 a + (strings - a) <= 3^(k+1).
+    return strings * (k + 1) - (3 * power - strings) / 2;
+}
+
 } // namespace fermihedral::enc

@@ -106,6 +106,35 @@ struct EncodingValidation
 /** Exactly check the Section 3.1 constraints on an encoding. */
 EncodingValidation validateEncoding(const FermionEncoding &encoding);
 
+/**
+ * Least total Pauli weight any encoding of `modes` modes can have:
+ * the least integer sum of 2N weights w_i with
+ * sum_i 3^(-w_i) <= 1, which is
+ *
+ *   2N (k + 1) - floor((3^(k+1) - 2N) / 2),   k = floor(log3 2N).
+ *
+ * Proof that every encoding obeys the inequality:
+ *  - Draw a product basis b uniformly from {X,Y,Z}^N. A string P
+ *    agrees with b on its whole support with probability 3^(-|P|).
+ *  - Two strings that both agree with the same b commute (on each
+ *    qubit each is the identity or b_q). So for pairwise
+ *    anticommuting strings these events are disjoint, and their
+ *    probabilities sum to at most 1.
+ *  - 3^(-w) is convex, so moving two weights one step toward each
+ *    other keeps their total and never raises the sum. Every
+ *    feasible weight vector thus balances, at the same total, to
+ *    one whose weights all lie in {t, t+1}. With a of them at t it
+ *    is feasible iff 2N + 2a <= 3^(t+1), so the least total takes
+ *    t = k and the largest such a.
+ *
+ * Only anticommutativity is used, so the bound holds with or
+ * without algebraic independence and vacuum pairing. It is tight
+ * wherever the total-weight descent has been run to a proof
+ * (2, 6, 11, 16, 22, 29 and 36 for N = 1..7), and the ternary tree
+ * meets it at N = 1, 4 and 13.
+ */
+std::size_t totalWeightLowerBound(std::size_t modes);
+
 } // namespace fermihedral::enc
 
 #endif // FERMIHEDRAL_ENCODINGS_ENCODING_H

@@ -215,8 +215,10 @@ TEST(ServiceFaults, PreCancelledRequestDegradesToBaseline)
 
 TEST(ServiceFaults, CancellationStopsARunningSearch)
 {
+    // N = 7's first SAT step takes seconds; N = 6 reaches its
+    // lower bound, and with it a proof, in a few hundred ms.
     CompilerService service;
-    CompilationRequest request = fastRequest(6, "sat");
+    CompilationRequest request = fastRequest(7, "sat");
     request.stepTimeoutSeconds = 600.0;
     request.totalTimeoutSeconds = 600.0;
     const CancellationToken token = request.cancellation;
@@ -306,11 +308,11 @@ TEST(ServiceFaults, DeadlineHitIsDeterministic)
 
 TEST(ServiceFaults, DeadlineBoundedLargeRequestServesValidEncoding)
 {
-    // Fig. 7 scale: N = 6 takes minutes to prove optimal, but a
+    // Fig. 7 scale: N = 7's first SAT step takes seconds, but a
     // deadline-bound request must come back almost immediately with
     // a valid (baseline-or-better) encoding.
     Compiler compiler;
-    CompilationRequest request = fastRequest(6, "sat");
+    CompilationRequest request = fastRequest(7, "sat");
     request.stepTimeoutSeconds = 60.0;
     request.totalTimeoutSeconds = 60.0;
     request.deadlineSeconds = 0.25;
