@@ -50,14 +50,17 @@ struct EngineFlags
         EngineFlags engine;
         engine.threads = flags.addInt(
             "threads", 1,
-            "solver threads per SAT step (0 = hardware)");
+            "solver threads per SAT step with --racing "
+            "(0 = hardware)");
         engine.instances = flags.addInt(
             "instances", 0,
-            "portfolio instances (0 = one per thread)");
+            "portfolio instances with --racing "
+            "(0 = one per thread)");
         engine.racing = flags.addBool(
             "racing", false,
-            "first-finisher-wins arbitration with clause sharing "
-            "(faster, but winner may vary run to run)");
+            "race diversified instances with clause sharing, first "
+            "finisher wins (faster, but winner may vary run to run; "
+            "without it one instance runs)");
         engine.preprocess = flags.addBool(
             "preprocess", true,
             "simplify the clause database before solving");
@@ -78,9 +81,11 @@ struct EngineFlags
         return engine;
     }
 
-    void
-    apply(core::DescentOptions &options) const
+    /** The engine knobs the flags select. */
+    core::EngineOptions
+    engine() const
     {
+        core::EngineOptions options;
         options.threads = static_cast<std::size_t>(
             *threads < 0 ? 0 : *threads);
         options.portfolioInstances = static_cast<std::size_t>(
@@ -89,19 +94,19 @@ struct EngineFlags
         options.preprocess = *preprocess;
         options.carryLearnts = *carry;
         options.inprocess = *inprocess;
+        return options;
+    }
+
+    void
+    apply(core::DescentOptions &options) const
+    {
+        static_cast<core::EngineOptions &>(options) = engine();
     }
 
     void
     apply(api::CompilationRequest &request) const
     {
-        request.threads = static_cast<std::size_t>(
-            *threads < 0 ? 0 : *threads);
-        request.portfolioInstances = static_cast<std::size_t>(
-            *instances < 0 ? 0 : *instances);
-        request.deterministic = !*racing;
-        request.preprocess = *preprocess;
-        request.carryLearnts = *carry;
-        request.inprocess = *inprocess;
+        static_cast<core::EngineOptions &>(request) = engine();
         // Deadlines are a facade/service-level contract; the raw
         // DescentOptions overload deliberately has no equivalent.
         request.deadlineSeconds = *deadlineSeconds;

@@ -18,6 +18,7 @@
  * CI trend tracking.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -234,16 +235,21 @@ main(int argc, char **argv)
                 "growing construct and solve speedups while the "
                 "optimal cost stays identical (Sec. 4.1).\n\n");
     std::printf("%s", stats.render().c_str());
+    // Without --racing one instance runs, whatever --threads and
+    // --instances say; the portfolio never uses more threads than
+    // it has instances.
     const std::size_t resolved_threads =
         ThreadPool::resolveThreadCount(*engine.threads);
     const std::size_t resolved_instances =
-        *engine.instances > 0
+        !*engine.racing ? 1
+        : *engine.instances > 0
             ? static_cast<std::size_t>(*engine.instances)
             : resolved_threads;
-    std::printf("Engine: %zu thread(s), %zu instance(s), %s "
-                "arbitration, preprocessing %s, carry-over %s, "
+    std::printf("Engine: %zu instance(s) on %zu thread(s), %s, "
+                "preprocessing %s, carry-over %s, "
                 "inprocessing %s.\n",
-                resolved_threads, resolved_instances,
+                resolved_instances,
+                std::min(resolved_threads, resolved_instances),
                 *engine.racing ? "racing" : "deterministic",
                 *engine.preprocess ? "on" : "off",
                 *engine.carry ? "on" : "off",

@@ -340,7 +340,6 @@ BM_PortfolioSolveRandom3Sat(benchmark::State &state)
         sat::PortfolioOptions options;
         options.instances = instances;
         options.threads = instances;
-        options.deterministic = false;
         sat::PortfolioSolver solver(options);
         for (int v = 0; v < num_vars; ++v)
             solver.newVar();

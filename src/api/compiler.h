@@ -91,8 +91,11 @@ enum class ResultStatus
 /** Printable name of a result status. */
 const char *resultStatusName(ResultStatus status);
 
-/** One compilation problem: spec, strategy, constraints, budgets. */
-struct CompilationRequest
+/**
+ * One compilation problem: spec, strategy, constraints, budgets and
+ * the SAT-engine knobs (inherited from core::EngineOptions).
+ */
+struct CompilationRequest : core::EngineOptions
 {
     /** Fermionic mode count (ignored when `hamiltonian` is set). */
     std::size_t modes = 0;
@@ -147,24 +150,6 @@ struct CompilationRequest
      */
     CancellationToken cancellation;
 
-    /** Threads racing each SAT step (0 = hardware concurrency). */
-    std::size_t threads = 1;
-
-    /** Portfolio instances per SAT step (0 = one per thread). */
-    std::size_t portfolioInstances = 0;
-
-    /** Fixed-winner arbitration (bit-identical across threads). */
-    bool deterministic = true;
-
-    /** Simplify the clause database before the first SAT call. */
-    bool preprocess = true;
-
-    /** Keep learnt clauses across descent steps (carry-over). */
-    bool carryLearnts = true;
-
-    /** Inprocess clause databases between descent steps. */
-    bool inprocess = true;
-
     /**
      * Per-bound progress observer forwarded to every descent the
      * strategy runs (see core::DescentProgress). An execution knob
@@ -203,7 +188,10 @@ struct SearchOutcome
      */
     std::size_t annealedCost = 0;
 
-    /** The search proved `cost` optimal (UNSAT at cost - 1). */
+    /**
+     * The search proved `cost` optimal: UNSAT at cost - 1, or a
+     * total-weight cost at enc::totalWeightLowerBound.
+     */
     bool provedOptimal = false;
 
     /** SAT solve() calls made (0 for closed-form strategies). */

@@ -213,16 +213,11 @@ descentOptions(const CompilationRequest &request,
                bool algebraic_independence)
 {
     core::DescentOptions options;
+    static_cast<core::EngineOptions &>(options) = request;
     options.algebraicIndependence = algebraic_independence;
     options.vacuumPreservation = request.vacuumPreservation;
     options.stepTimeoutSeconds = request.stepTimeoutSeconds;
     options.totalTimeoutSeconds = request.totalTimeoutSeconds;
-    options.threads = request.threads;
-    options.portfolioInstances = request.portfolioInstances;
-    options.deterministic = request.deterministic;
-    options.preprocess = request.preprocess;
-    options.carryLearnts = request.carryLearnts;
-    options.inprocess = request.inprocess;
     options.progress = request.progress;
     options.stopFlag = request.cancellation.flag();
     return options;
@@ -232,7 +227,8 @@ descentOptions(const CompilationRequest &request,
  * Run `inner` under the weight objective its search actually
  * minimises, then re-score the outcome under the request's
  * routed-cost objective. This is how the weight-based SAT
- * strategies stay usable as routed baselines: the encoding is the
+ * strategies stay usable as routed baselines, and where the routed
+ * strategies get their weight-optimal encoding: the encoding is the
  * weight search's, only the reported costs change. The
  * weight-specific provenance (annealedCost, provedOptimal) is
  * dropped — it would misreport under the re-scored objective.
@@ -425,25 +421,17 @@ class SatRoutedStrategy final : public EncodingStrategy
     search(const CompilationRequest &request) const override
     {
         requireRoutedRequest(request, "sat-routed");
-        CompilationRequest weight = request;
-        weight.topology.reset();
-        weight.objective = request.hamiltonian
-                               ? Objective::HamiltonianWeight
-                               : Objective::TotalWeight;
-        const SatStrategy sat(true);
-        SearchOutcome outcome = sat.search(weight);
+        SearchOutcome outcome =
+            rescoreUnderRoutedCost(request, SatStrategy(true));
 
         const auto placed = hw::optimizePlacement(
             outcome.encoding, *request.topology,
             request.hamiltonian ? &*request.hamiltonian : nullptr);
         if (routedSelectionMetric(request, placed) <=
-            routedSelectionMetric(request, outcome.encoding))
+            routedSelectionMetric(request, outcome.encoding)) {
             outcome.encoding = placed;
-
-        outcome.cost = objectiveValue(request, outcome.encoding);
-        outcome.baselineCost = baselineValue(request);
-        outcome.annealedCost = 0;
-        outcome.provedOptimal = false;
+            outcome.cost = objectiveValue(request, outcome.encoding);
+        }
         return outcome;
     }
 };
@@ -469,12 +457,8 @@ class PickRoutedStrategy final : public EncodingStrategy
             request.hamiltonian ? &*request.hamiltonian : nullptr;
         const std::size_t modes = request.resolvedModes();
 
-        CompilationRequest weight = request;
-        weight.topology.reset();
-        weight.objective = h ? Objective::HamiltonianWeight
-                             : Objective::TotalWeight;
-        const SatStrategy sat_strategy(true);
-        const SearchOutcome sat = sat_strategy.search(weight);
+        const SearchOutcome sat =
+            rescoreUnderRoutedCost(request, SatStrategy(true));
 
         std::vector<enc::FermionEncoding> candidates;
         for (const auto builder :

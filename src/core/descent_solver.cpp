@@ -8,6 +8,16 @@
 
 namespace fermihedral::core {
 
+namespace {
+
+/** Inprocess after every this-many SAT steps. */
+constexpr std::size_t inprocessInterval = 3;
+
+/** Conflicts since the last inprocessing before the next may run. */
+constexpr std::size_t inprocessMinConflicts = 2000;
+
+} // namespace
+
 DescentSolver::DescentSolver(std::size_t modes,
                              const DescentOptions &options)
     : modes(modes), options(options)
@@ -27,8 +37,8 @@ DescentSolver::makeSolver() const
 {
     sat::PortfolioOptions portfolio;
     portfolio.threads = options.threads;
-    portfolio.instances = options.portfolioInstances;
-    portfolio.deterministic = options.deterministic;
+    portfolio.instances =
+        options.deterministic ? 1 : options.portfolioInstances;
     portfolio.preprocess = options.preprocess;
     portfolio.simplify.timeBudgetSeconds =
         options.preprocessBudgetSeconds;
@@ -44,14 +54,13 @@ DescentSolver::afterStep(std::size_t sat_calls)
     // step (the measurement baseline, and a debugging aid).
     if (!options.carryLearnts)
         solver->clearLearnts();
-    if (options.inprocess && options.inprocessInterval > 0 &&
-        sat_calls % options.inprocessInterval == 0) {
+    if (options.inprocess && sat_calls % inprocessInterval == 0) {
         // Difficulty gate: maintenance is only worth its wall-clock
         // once the steps actually produce conflict-driven clauses.
         const std::size_t conflicts =
             solver->portfolioStats().aggregate.conflicts;
         if (conflicts - inprocessedConflicts >=
-            options.inprocessMinConflicts) {
+            inprocessMinConflicts) {
             solver->inprocess();
             inprocessedConflicts = conflicts;
         }

@@ -91,8 +91,67 @@ enum class DescentTermination
     Cancelled,
 };
 
+/**
+ * The SAT-engine knobs, declared once: DescentOptions and
+ * api::CompilationRequest inherit them, so every layer that
+ * forwards them copies this one value.
+ */
+struct EngineOptions
+{
+    /** Threads racing each SAT step (0 = hardware concurrency). */
+    std::size_t threads = 1;
+
+    /**
+     * Diversified solver instances racing each SAT step (0 = one
+     * per thread). With more instances than threads the pool
+     * multiplexes them.
+     */
+    std::size_t portfolioInstances = 0;
+
+    /**
+     * Run one solver instance, which searches exactly like a plain
+     * sat::Solver: descent results are then a pure function of the
+     * options as long as no step times out, and `threads` and
+     * `portfolioInstances` are ignored. Racing (false) is faster —
+     * the first decisive instance wins and cancels the rest,
+     * learnt clauses are shared — but the tie-break between
+     * equally-cheap encodings may differ run to run.
+     */
+    bool deterministic = true;
+
+    /** Simplify the clause database before the first SAT call. */
+    bool preprocess = true;
+
+    /**
+     * Keep each instance's learnt clauses across the descent's
+     * bound-tightening steps. The totalizer bound only ever
+     * tightens (one permanent unit clause per round), so clauses
+     * learnt at a looser bound remain sound at every tighter one
+     * and the next step starts from everything the last one
+     * derived. Off = Solver::clearLearnts() after every SAT call,
+     * the restart-from-scratch behaviour used to measure what
+     * carry-over buys (DescentResult::satStats counts conflicts).
+     */
+    bool carryLearnts = true;
+
+    /**
+     * Inprocess the clause databases between descent steps
+     * (subsumption + vivification, Solver::inprocess): each
+     * permanent bound unit lets the simplifier strip satisfied
+     * clauses and shorten the totalizer ladder before the next,
+     * harder SAT call. It runs every `inprocessInterval` SAT
+     * steps, and only once `inprocessMinConflicts` conflicts
+     * accumulated since the last run (both fixed in
+     * descent_solver.cpp): early steps are often solved almost
+     * purely by propagation, and maintenance over a database that
+     * produced no learnt clauses is pure overhead on the
+     * time-to-best clock.
+     */
+    bool inprocess = true;
+};
+
 /** Options for one descent run. */
-struct DescentOptions
+struct DescentOptions : EngineOptions
 {
     /** Keep the power-set algebraic independence clauses. */
     bool algebraicIndependence = true;
@@ -109,33 +168,8 @@ struct DescentOptions
     /** Wall-clock budget for the whole descent (seconds). */
     double totalTimeoutSeconds = 300.0;
 
-    /** Threads racing each SAT step (0 = hardware concurrency). */
-    std::size_t threads = 1;
-
     /**
-     * Diversified solver instances in the portfolio (0 = one per
-     * thread). With more instances than threads the pool
-     * multiplexes them; instance 0 always searches like the plain
-     * solver did.
-     */
-    std::size_t portfolioInstances = 0;
-
-    /**
-     * Fixed winner arbitration (lowest decisive instance index, no
-     * cancellation, no clause sharing): descent results are then
-     * bit-identical for every thread count as long as no step
-     * times out. Racing mode (false) is faster — first decisive
-     * instance wins and cancels the rest, learnt clauses are
-     * shared — but the tie-break between equally-cheap encodings
-     * may differ run to run.
-     */
-    bool deterministic = true;
-
-    /** Simplify the clause database before the first SAT call. */
-    bool preprocess = true;
-
-    /**
-     * Wall-clock cap on that upfront simplification run
+     * Wall-clock cap on the upfront simplification run (`preprocess`)
      * (<= 0 = unlimited). Preprocessing pays for itself many times
      * over during the UNSAT proving rounds, but the paper's
      * time-to-best clock starts before the first model: without a
@@ -155,47 +189,14 @@ struct DescentOptions
     std::size_t preprocessMaxClauses = 4000;
 
     /**
-     * Keep each instance's learnt clauses across the descent's
-     * bound-tightening steps. The totalizer bound only ever
-     * tightens (one permanent unit clause per round), so clauses
-     * learnt at a looser bound remain sound at every tighter one
-     * and the next step starts from everything the last one
-     * derived. Off = Solver::clearLearnts() after every SAT call,
-     * the restart-from-scratch behaviour used to measure what
-     * carry-over buys (DescentResult::satStats counts conflicts).
-     */
-    bool carryLearnts = true;
-
-    /**
-     * Inprocess the clause databases between descent steps
-     * (subsumption + vivification, Solver::inprocess): each
-     * permanent bound unit lets the simplifier strip satisfied
-     * clauses and shorten the totalizer ladder before the next,
-     * harder SAT call.
-     */
-    bool inprocess = true;
-
-    /** Run inprocessing every this-many SAT steps (>= 1). */
-    std::size_t inprocessInterval = 3;
-
-    /**
-     * Skip inprocessing while the search is easy: maintenance only
-     * runs once at least this many conflicts accumulated since the
-     * last one. Early descent steps are often solved almost purely
-     * by propagation, and subsumption+vivification over a database
-     * that produced no learnt clauses is pure overhead on the
-     * time-to-best clock.
-     */
-    std::size_t inprocessMinConflicts = 2000;
-
-    /**
      * Cooperative cancellation: when non-null and set, the descent
      * stops at the next SAT budget poll and solve() returns its
      * best-so-far result with DescentTermination::Cancelled. The
      * flag is composed into every sat::Budget the loop issues, so
-     * it reaches both portfolio arbitration modes. Checked with
-     * relaxed loads only — attaching a never-fired flag does not
-     * perturb deterministic-mode bit-identity.
+     * it reaches a racing portfolio as well as the single
+     * deterministic instance. Checked with relaxed loads only —
+     * attaching a never-fired flag does not perturb deterministic
+     * results.
      */
     const std::atomic<bool> *stopFlag = nullptr;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <thread>
 
 #include "common/logging.h"
@@ -9,6 +10,16 @@
 #include "common/timer.h"
 
 namespace fermihedral::sat {
+
+namespace {
+
+/** LBD ceiling for clauses racing instances share. */
+constexpr std::uint32_t shareMaxLbd = 2;
+
+/** Length ceiling for clauses racing instances share. */
+constexpr std::size_t shareMaxSize = 8;
+
+} // namespace
 
 // --------------------------------------------------------------------
 // ClauseExchange
@@ -324,13 +335,9 @@ PortfolioSolver::build(bool skip_preprocess)
         instances[i] = std::move(instance);
     });
 
-    // Clause sharing only in racing mode: import order is a race,
-    // which deterministic arbitration must not observe.
-    if (!options.deterministic && options.shareClauses &&
-        instanceCount > 1) {
+    if (instanceCount > 1) {
         exchange = std::make_unique<ClauseExchange>(
-            instanceCount, options.shareMaxLbd,
-            options.shareMaxSize);
+            instanceCount, shareMaxLbd, shareMaxSize);
         for (std::size_t i = 0; i < instanceCount; ++i)
             instances[i]->connectExchange(exchange.get(), i);
     }
@@ -354,13 +361,11 @@ PortfolioSolver::inprocess()
 {
     if (!built || topLevelUnsat)
         return !inconsistent();
-    // Each instance inprocesses its own database; the pass is a
-    // per-instance deterministic function of its state, so fanning
-    // out over the pool cannot perturb deterministic arbitration.
+    // Each instance inprocesses its own database, so the passes
+    // fan out over the pool independently.
     telemetry::TraceSpan span("portfolio.inprocess");
-    pool->forEach(instanceCount, [&](std::size_t i) {
-        instances[i]->inprocess(options.inprocess);
-    });
+    pool->forEach(instanceCount,
+                  [&](std::size_t i) { instances[i]->inprocess(); });
     return !inconsistent();
 }
 
@@ -380,10 +385,8 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
     if (!built)
         build(/*skip_preprocess=*/!assumptions.empty());
     telemetry::TraceSpan span("portfolio.solve");
-    if (span.active()) {
+    if (span.active())
         span.arg("instances", instanceCount);
-        span.arg("racing", !options.deterministic);
-    }
     ++portfolio.solves;
     if (topLevelUnsat) {
         ++portfolio.unsatAnswers;
@@ -399,44 +402,44 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
     } else {
         std::vector<SolveStatus> results(instanceCount,
                                          SolveStatus::Unknown);
-        // One shared cancellation flag: the first racing winner
-        // raises it for everyone. Deterministic mode never cancels
-        // and passes the caller's own flag straight through.
+        // One shared cancellation flag: the first decisive instance
+        // raises it for everyone.
         std::atomic<bool> stop{false};
         std::atomic<int> first_decisive{-1};
         Timer solve_timer;
 
-        // Racing instances watch the shared flag instead of the
-        // caller's, so a caller-supplied Budget::stopFlag must be
-        // relayed into it by a polling watcher.
-        std::atomic<bool> watcher_done{false};
+        // Instances watch the shared flag instead of the caller's,
+        // so a caller-supplied Budget::stopFlag is relayed into it
+        // by a watcher that polls every 5 ms and is woken the
+        // moment the race ends, so it never delays the return.
+        std::mutex watcher_mutex;
+        std::condition_variable watcher_wake;
+        bool race_over = false;
         std::thread watcher;
-        if (!options.deterministic && budget.stopFlag) {
+        if (budget.stopFlag) {
             watcher = std::thread([&] {
-                while (!watcher_done.load(
-                    std::memory_order_relaxed)) {
+                std::unique_lock lock(watcher_mutex);
+                while (!race_over) {
                     if (budget.stopFlag->load(
                             std::memory_order_relaxed)) {
                         stop.store(true,
                                    std::memory_order_relaxed);
                         return;
                     }
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(5));
+                    watcher_wake.wait_for(
+                        lock, std::chrono::milliseconds(5));
                 }
             });
         }
 
         pool->forEach(instanceCount, [&](std::size_t i) {
             // One span per instance, recorded on the worker thread
-            // that ran it: a --trace timeline shows the race the
-            // arbitration (racing or deterministic) chose from.
+            // that ran it: a --trace timeline shows the race.
             telemetry::TraceSpan instance_span("portfolio.instance");
             if (instance_span.active())
                 instance_span.arg("instance", i);
             Budget local = budget;
-            if (!options.deterministic)
-                local.stopFlag = &stop;
+            local.stopFlag = &stop;
             // The wall budget bounds this solve() call, not each
             // instance: with fewer threads than instances the
             // stragglers only get what the earlier finishers left
@@ -464,17 +467,6 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
             }
             if (result == SolveStatus::Unknown)
                 return;
-            // Deterministic mode cancels nobody — not even
-            // higher-index instances a lower decisive index has
-            // already beaten. Cancellation would make the loser's
-            // persistent heuristic state (learnt clauses, phases)
-            // depend on the thread schedule, and that state feeds
-            // the NEXT incremental solve, where the loser may be
-            // the winner: bit-identity across thread counts holds
-            // precisely because every instance's trajectory is
-            // schedule-independent.
-            if (options.deterministic)
-                return;
             int expected = -1;
             if (first_decisive.compare_exchange_strong(
                     expected, static_cast<int>(i))) {
@@ -483,31 +475,19 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
         });
 
         if (watcher.joinable()) {
-            watcher_done.store(true, std::memory_order_relaxed);
+            {
+                const std::lock_guard<std::mutex> guard(
+                    watcher_mutex);
+                race_over = true;
+            }
+            watcher_wake.notify_one();
             watcher.join();
         }
 
-        if (options.deterministic) {
-            // Fixed arbitration: the decisive instance with the
-            // lowest index wins, making the outcome (and model) a
-            // pure function of the call sequence and budgets.
-            bool found = false;
-            for (std::size_t i = 0; i < instanceCount; ++i) {
-                if (results[i] != SolveStatus::Unknown) {
-                    winner_index = i;
-                    status = results[i];
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                status = SolveStatus::Unknown;
-        } else {
-            const int first = first_decisive.load();
-            if (first >= 0) {
-                winner_index = static_cast<std::size_t>(first);
-                status = results[winner_index];
-            }
+        const int first = first_decisive.load();
+        if (first >= 0) {
+            winner_index = static_cast<std::size_t>(first);
+            status = results[winner_index];
         }
     }
 

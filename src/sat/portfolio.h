@@ -4,24 +4,15 @@
  *
  * PortfolioSolver presents the SolverBase surface but, underneath,
  * stages the incoming formula, simplifies it once
- * (sat/preprocess.h) and then races N diversified CDCL instances
- * (different EVSIDS seeds, phase policies and restart schedules)
- * over a shared ThreadPool on every solve() call. Instances
- * exchange short low-LBD learnt clauses through a lock-light
- * append-only buffer; the first decisive finisher cancels the rest
- * through the Budget stop flag.
- *
- * Two arbitration modes:
- *  - racing (deterministic = false): first Sat/Unsat wins, all
- *    other instances are stopped, learnt clauses flow freely. The
- *    fastest mode, but the winning instance — and hence the model —
- *    may differ run to run.
- *  - deterministic (the default): clause sharing is off, nobody is
- *    cancelled, and the winner is the decisive instance with the
- *    lowest index. Every instance is then an isolated deterministic
- *    machine, so results are bit-identical for every thread count
- *    whenever budgets do not bind (conflict budgets, or wall-clock
- *    limits generous enough that no instance times out).
+ * (sat/preprocess.h) and then runs one CDCL instance, or races N
+ * diversified ones (different EVSIDS seeds, phase policies and
+ * restart schedules) over a shared ThreadPool, on every solve()
+ * call. Racing instances exchange short low-LBD learnt clauses
+ * through a lock-light append-only buffer; the first decisive
+ * finisher wins and cancels the rest through the Budget stop flag,
+ * so the winning instance — and hence the model — may differ run
+ * to run. A one-instance portfolio is the deterministic mode: its
+ * answers are a pure function of the call sequence and budgets.
  *
  * Key invariants:
  *  - Variable numbering is shared: newVar()/addClause() broadcast
@@ -36,9 +27,9 @@
  *  - After Sat, modelValue() is defined for every variable: the
  *    winner's model is extended over eliminated variables with the
  *    simplifier's witness stack before it is published.
- *  - With instances = 1, deterministic = true and preprocessing
- *    off, solve behaviour is bit-identical to a plain Solver fed
- *    the same calls.
+ *  - With instances = 1 and preprocessing off, solve behaviour is
+ *    bit-identical to a plain Solver fed the same calls, for every
+ *    thread count.
  *  - Budget.maxSeconds bounds the whole solve() call's wall
  *    clock, not each instance: with fewer threads than instances
  *    the stragglers only get whatever the earlier finishers left
@@ -123,17 +114,14 @@ struct PortfolioOptions
 {
     /**
      * Number of diversified solver instances (0 selects the
-     * resolved thread count). Instance 0 always runs the default
-     * SolverConfig, so a 1-instance portfolio searches exactly like
-     * a plain Solver.
+     * resolved thread count); more than one races them. Instance 0
+     * always runs the default SolverConfig, so a 1-instance
+     * portfolio searches exactly like a plain Solver.
      */
     std::size_t instances = 0;
 
     /** Threads racing the instances (0 = hardware concurrency). */
     std::size_t threads = 1;
-
-    /** Fixed lowest-decisive-index arbitration (see file docs). */
-    bool deterministic = true;
 
     /** Simplify the clause database before the first solve. */
     bool preprocess = true;
@@ -150,18 +138,6 @@ struct PortfolioOptions
      * search has shown the instance is actually hard.
      */
     std::size_t preprocessMaxClauses = 0;
-
-    /** Exchange learnt clauses (racing mode only). */
-    bool shareClauses = true;
-
-    /** Effort limits forwarded to inprocess() calls. */
-    InprocessOptions inprocess;
-
-    /** LBD ceiling for shared clauses. */
-    std::uint32_t shareMaxLbd = 2;
-
-    /** Length ceiling for shared clauses. */
-    std::size_t shareMaxSize = 8;
 };
 
 /** Counters describing the portfolio's work so far. */
@@ -214,10 +190,9 @@ class PortfolioSolver final : public SolverBase
 
     /**
      * Inprocess every instance's clause database between solve()
-     * calls (Solver::inprocess with options.inprocess limits).
-     * Returns false when any instance refuted the formula. Runs in
-     * parallel over the pool; instance order and results stay
-     * deterministic (each instance's trajectory is independent).
+     * calls (Solver::inprocess). Returns false when any instance
+     * refuted the formula. Runs in parallel over the pool; each
+     * instance's pass depends only on its own state.
      */
     bool inprocess();
 

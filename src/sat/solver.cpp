@@ -553,8 +553,12 @@ Solver::subsumptionPass()
 }
 
 bool
-Solver::vivifyPass(const InprocessOptions &options)
+Solver::vivifyPass()
 {
+    // Propagation budget of one pass, and the shortest clause worth
+    // vivifying.
+    constexpr std::uint64_t vivifyPropagationLimit = 500000;
+    constexpr std::uint32_t vivifyMinSize = 3;
     const std::uint64_t start = statistics.propagations;
     std::vector<Lit> kept;
     std::vector<Lit> original;
@@ -562,10 +566,9 @@ Solver::vivifyPass(const InprocessOptions &options)
     // live list. Refs stay valid (no collection inside the loop).
     const std::vector<ClauseRef> todo = problemClauses;
     for (const ClauseRef ref : todo) {
-        if (statistics.propagations - start >
-            options.vivifyPropagationLimit)
+        if (statistics.propagations - start > vivifyPropagationLimit)
             break;
-        if (arena.size(ref) < options.vivifyMinSize ||
+        if (arena.size(ref) < vivifyMinSize ||
             clauseLocked(ref))
             continue;
 
@@ -623,7 +626,7 @@ Solver::vivifyPass(const InprocessOptions &options)
 }
 
 bool
-Solver::inprocess(const InprocessOptions &options)
+Solver::inprocess()
 {
     require(decisionLevel() == 0,
             "inprocess may only run between solve() calls");
@@ -638,11 +641,11 @@ Solver::inprocess(const InprocessOptions &options)
     const std::uint64_t subsumed_before = statistics.inprocessSubsumed;
     const std::uint64_t vivified_before = statistics.vivifiedClauses;
     detachLevelZeroReasons();
-    if (options.subsumption && !subsumptionPass()) {
+    if (!subsumptionPass()) {
         maybeCheck();
         return false;
     }
-    if (options.vivification && !vivifyPass(options)) {
+    if (!vivifyPass()) {
         maybeCheck();
         return false;
     }

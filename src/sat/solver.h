@@ -120,26 +120,6 @@ struct SolverConfig
     bool selfCheck = false;
 };
 
-/** Effort limits for one Solver::inprocess() call. */
-struct InprocessOptions
-{
-    /**
-     * Subsume / strengthen the problem clauses with the
-     * sat/preprocess Simplifier (variable elimination off: learnt
-     * clauses stay sound without witness reconstruction).
-     */
-    bool subsumption = true;
-
-    /** Shorten clauses by unit-propagation vivification. */
-    bool vivification = true;
-
-    /** Propagation budget for one vivification pass. */
-    std::uint64_t vivifyPropagationLimit = 500000;
-
-    /** Skip vivifying clauses shorter than this. */
-    std::uint32_t vivifyMinSize = 3;
-};
-
 /**
  * The CDCL solver. Create variables with newVar(), add clauses with
  * addClause(), then call solve(). More clauses may be added after a
@@ -201,11 +181,14 @@ class Solver final : public SolverBase
     /**
      * Inprocess the clause database between solve() calls:
      * top-level simplification, subsumption / self-subsuming
-     * resolution of the problem clauses, bounded vivification, and
-     * a garbage collection when enough waste accumulated. Returns
-     * false when simplification refuted the formula.
+     * resolution of the problem clauses through the sat/preprocess
+     * Simplifier (variable elimination off: learnt clauses stay
+     * sound without witness reconstruction), vivification bounded
+     * by a propagation budget, and a garbage collection when enough
+     * waste accumulated. Returns false when simplification refuted
+     * the formula.
      */
-    bool inprocess(const InprocessOptions &options = {});
+    bool inprocess();
 
     /**
      * Drop every learnt clause (the carried state of the
@@ -349,7 +332,7 @@ class Solver final : public SolverBase
     /** Drop level-0 reasons (facts need none; frees their clauses). */
     void detachLevelZeroReasons();
     bool subsumptionPass();
-    bool vivifyPass(const InprocessOptions &options);
+    bool vivifyPass();
     bool enqueueFactAndPropagate(Lit lit);
 
     // --- Clause exchange ---------------------------------------------------

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -148,37 +148,37 @@ TEST(DescentSolver, TinyBudgetStillReturnsBaseline)
 
 TEST(DescentSolver, PortfolioDeterministicAcrossThreadCounts)
 {
-    // The bit-identity contract, mirroring test_parallel's
-    // measureEnergy guarantee: with deterministic=true and budgets
-    // generous enough that no step times out, the descent result —
-    // cost, optimality proof, and the exact encoding — is the same
-    // for every thread count at a fixed portfolio size.
+    // Deterministic mode is one solver instance, whatever threads
+    // and portfolioInstances ask for: the descent result — cost,
+    // optimality proof, SAT calls and the exact encoding — is the
+    // default run's as long as no step times out.
     DescentOptions base = fastOptions();
-    base.portfolioInstances = 3;
     base.deterministic = true;
     // Bit-identity requires budgets that never bind; the N=4 steps
     // take milliseconds, but sanitizer CI runs everything 10x
     // slower and in parallel, so leave a wide margin.
     base.stepTimeoutSeconds = 120.0;
     base.totalTimeoutSeconds = 600.0;
+    const auto reference = DescentSolver(4, base).solve();
+    EXPECT_GT(reference.satCalls, 0u);
 
-    std::optional<DescentResult> reference;
-    for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const auto &[threads, instances] :
+         {std::pair<std::size_t, std::size_t>{2, 3}, {4, 4}}) {
         DescentOptions options = base;
         options.threads = threads;
-        DescentSolver solver(4, options);
-        const auto result = solver.solve();
-        EXPECT_GT(result.satCalls, 0u) << threads << " threads";
-        if (!reference) {
-            reference = result;
-            continue;
-        }
-        EXPECT_EQ(result.cost, reference->cost)
+        options.portfolioInstances = instances;
+        const auto result = DescentSolver(4, options).solve();
+        EXPECT_EQ(result.cost, reference.cost) << threads << " threads";
+        EXPECT_EQ(result.provedOptimal, reference.provedOptimal)
             << threads << " threads";
-        EXPECT_EQ(result.provedOptimal, reference->provedOptimal)
+        EXPECT_EQ(result.satCalls, reference.satCalls)
             << threads << " threads";
         EXPECT_TRUE(result.encoding.majoranas ==
-                    reference->encoding.majoranas)
+                    reference.encoding.majoranas)
+            << threads << " threads";
+        // One instance ran: the winner's counters are the total.
+        EXPECT_EQ(result.satStats.aggregate.conflicts,
+                  result.satStats.winner.conflicts)
             << threads << " threads";
     }
 }

@@ -3,14 +3,16 @@
  * Tests for the portfolio SAT engine: SolverBase conformance,
  * preprocessing integration (model reconstruction over eliminated
  * variables, frozen incremental interfaces, skipping under
- * assumptions), diversification, clause sharing, and the
- * deterministic-arbitration bit-identity guarantee across thread
- * counts.
+ * assumptions), diversification, racing with clause sharing and
+ * cancellation, and the one-instance identity with a plain Solver.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -22,14 +24,38 @@ namespace fermihedral::sat {
 namespace {
 
 PortfolioOptions
-withInstances(std::size_t instances, std::size_t threads,
-              bool deterministic = true)
+withInstances(std::size_t instances, std::size_t threads)
 {
     PortfolioOptions options;
     options.instances = instances;
     options.threads = threads;
-    options.deterministic = deterministic;
     return options;
+}
+
+/**
+ * The pigeonhole formula PHP(pigeons, holes): UNSAT whenever
+ * pigeons > holes, and exponentially hard for resolution, so
+ * PHP(10, 9) keeps every instance busy far longer than any test.
+ */
+void
+addPigeonhole(SolverBase &solver, int pigeons, int holes)
+{
+    std::vector<std::vector<Var>> at(pigeons,
+                                     std::vector<Var>(holes));
+    for (int p = 0; p < pigeons; ++p)
+        for (int h = 0; h < holes; ++h)
+            at[p][h] = solver.newVar();
+    for (int p = 0; p < pigeons; ++p) {
+        std::vector<Lit> clause;
+        for (int h = 0; h < holes; ++h)
+            clause.push_back(mkLit(at[p][h]));
+        solver.addClause(clause);
+    }
+    for (int h = 0; h < holes; ++h)
+        for (int p = 0; p < pigeons; ++p)
+            for (int q = p + 1; q < pigeons; ++q)
+                solver.addClause(
+                    {~mkLit(at[p][h]), ~mkLit(at[q][h])});
 }
 
 /** Random 3-SAT clauses over `num_vars` fresh solver variables. */
@@ -161,35 +187,6 @@ TEST(PortfolioSolver, InstanceZeroMatchesPlainSolver)
     }
 }
 
-TEST(PortfolioSolver, DeterministicAcrossThreadCounts)
-{
-    // deterministic=true: identical status and model for every
-    // thread count, including racing more instances than threads.
-    Rng rng(2718);
-    for (int round = 0; round < 6; ++round) {
-        std::vector<std::vector<LBool>> models;
-        std::vector<SolveStatus> statuses;
-        for (const std::size_t threads : {1u, 2u, 4u}) {
-            PortfolioSolver solver(withInstances(4, threads));
-            Rng clause_rng = rng.fork(round);
-            randomCnf(solver, 16, 70, clause_rng);
-            const SolveStatus status = solver.solve();
-            statuses.push_back(status);
-            std::vector<LBool> model(16, LBool::Undef);
-            if (status == SolveStatus::Sat) {
-                for (Var v = 0; v < 16; ++v)
-                    model[v] = solver.modelValue(v);
-            }
-            models.push_back(std::move(model));
-        }
-        for (std::size_t i = 1; i < statuses.size(); ++i) {
-            EXPECT_EQ(statuses[i], statuses[0])
-                << "round " << round;
-            EXPECT_EQ(models[i], models[0]) << "round " << round;
-        }
-    }
-}
-
 TEST(PortfolioSolver, RacingModeAgreesOnVerdict)
 {
     // Racing arbitration may pick any decisive instance, but the
@@ -198,7 +195,7 @@ TEST(PortfolioSolver, RacingModeAgreesOnVerdict)
     Rng rng(9001);
     for (int round = 0; round < 6; ++round) {
         Solver reference;
-        PortfolioSolver racing(withInstances(4, 4, false));
+        PortfolioSolver racing(withInstances(4, 4));
         Rng ref_rng = rng.fork(round);
         Rng race_rng = rng.fork(round);
         const auto cnf = randomCnf(reference, 16, 70, ref_rng);
@@ -255,8 +252,8 @@ TEST(PortfolioSolver, StatsAggregateAcrossInstances)
     EXPECT_EQ(stats.satAnswers + stats.unsatAnswers +
                   stats.unknownAnswers,
               1u);
-    // Deterministic mode runs every instance to completion, so the
-    // aggregate covers at least the winner's work.
+    // The aggregate sums every instance's counters, the winner's
+    // included, however early the race stopped the others.
     EXPECT_GE(stats.aggregate.propagations,
               stats.winner.propagations);
 }
@@ -284,24 +281,8 @@ TEST(PortfolioSolver, SharingRacingSolvesPigeonhole)
 {
     // PHP(6,5) forces real conflict work on every instance; with
     // sharing enabled the race must still return correct UNSAT.
-    PortfolioSolver solver(withInstances(3, 3, false));
-    const int holes = 5, pigeons = 6;
-    std::vector<std::vector<Var>> at(pigeons,
-                                     std::vector<Var>(holes));
-    for (int p = 0; p < pigeons; ++p)
-        for (int h = 0; h < holes; ++h)
-            at[p][h] = solver.newVar();
-    for (int p = 0; p < pigeons; ++p) {
-        std::vector<Lit> clause;
-        for (int h = 0; h < holes; ++h)
-            clause.push_back(mkLit(at[p][h]));
-        solver.addClause(clause);
-    }
-    for (int h = 0; h < holes; ++h)
-        for (int p = 0; p < pigeons; ++p)
-            for (int q = p + 1; q < pigeons; ++q)
-                solver.addClause(
-                    {~mkLit(at[p][h]), ~mkLit(at[q][h])});
+    PortfolioSolver solver(withInstances(3, 3));
+    addPigeonhole(solver, 6, 5);
     EXPECT_EQ(solver.solve(), SolveStatus::Unsat);
 }
 
@@ -337,24 +318,8 @@ TEST(PortfolioSolver, CallerStopFlagCancelsAllInstances)
     // A pre-set caller stop flag must be relayed to every racing
     // instance: the hard pigeonhole below would otherwise burn
     // CPU for a long time before answering.
-    PortfolioSolver solver(withInstances(2, 1, false));
-    const int holes = 9, pigeons = 10;
-    std::vector<std::vector<Var>> at(pigeons,
-                                     std::vector<Var>(holes));
-    for (int p = 0; p < pigeons; ++p)
-        for (int h = 0; h < holes; ++h)
-            at[p][h] = solver.newVar();
-    for (int p = 0; p < pigeons; ++p) {
-        std::vector<Lit> clause;
-        for (int h = 0; h < holes; ++h)
-            clause.push_back(mkLit(at[p][h]));
-        solver.addClause(clause);
-    }
-    for (int h = 0; h < holes; ++h)
-        for (int p = 0; p < pigeons; ++p)
-            for (int q = p + 1; q < pigeons; ++q)
-                solver.addClause(
-                    {~mkLit(at[p][h]), ~mkLit(at[q][h])});
+    PortfolioSolver solver(withInstances(2, 1));
+    addPigeonhole(solver, 10, 9);
     std::atomic<bool> stop{true};
     Budget budget;
     budget.stopFlag = &stop;
@@ -363,32 +328,73 @@ TEST(PortfolioSolver, CallerStopFlagCancelsAllInstances)
 
 TEST(PortfolioSolver, CallerStopFlagCancelsDeterministicMode)
 {
-    // Deterministic mode runs every instance to completion and
-    // picks the winner by fixed precedence — so cancellation must
-    // reach each instance through its own budget, not through the
-    // racing watcher (which deterministic mode does not start).
-    PortfolioSolver solver(withInstances(2, 2, true));
-    const int holes = 9, pigeons = 10;
-    std::vector<std::vector<Var>> at(pigeons,
-                                     std::vector<Var>(holes));
-    for (int p = 0; p < pigeons; ++p)
-        for (int h = 0; h < holes; ++h)
-            at[p][h] = solver.newVar();
-    for (int p = 0; p < pigeons; ++p) {
-        std::vector<Lit> clause;
-        for (int h = 0; h < holes; ++h)
-            clause.push_back(mkLit(at[p][h]));
-        solver.addClause(clause);
-    }
-    for (int h = 0; h < holes; ++h)
-        for (int p = 0; p < pigeons; ++p)
-            for (int q = p + 1; q < pigeons; ++q)
-                solver.addClause(
-                    {~mkLit(at[p][h]), ~mkLit(at[q][h])});
+    // Deterministic mode is one instance, solved inline whatever
+    // the thread count — so cancellation must reach it through its
+    // own budget, not through the racing watcher (which a single
+    // instance does not start).
+    PortfolioSolver solver(withInstances(1, 2));
+    addPigeonhole(solver, 10, 9);
     std::atomic<bool> stop{true};
     Budget budget;
     budget.stopFlag = &stop;
     EXPECT_EQ(solver.solve({}, budget), SolveStatus::Unknown);
+}
+
+TEST(PortfolioSolver, CallerStopFlagRaisedMidSolveCancelsRace)
+{
+    // The flag goes up while both racing instances are deep in a
+    // pigeonhole proof that would take minutes: the watcher must
+    // relay it into the race. The bound is generous for sanitizer
+    // builds; the relay itself takes at most one 5 ms poll.
+    PortfolioSolver solver(withInstances(2, 2));
+    addPigeonhole(solver, 10, 9);
+    std::atomic<bool> stop{false};
+    Budget budget;
+    budget.stopFlag = &stop;
+    std::thread canceller([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        stop.store(true);
+    });
+    const auto start = std::chrono::steady_clock::now();
+    const SolveStatus status = solver.solve({}, budget);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() -
+                               start)
+                               .count();
+    canceller.join();
+    EXPECT_EQ(status, SolveStatus::Unknown);
+    EXPECT_LT(seconds, 30.0);
+}
+
+TEST(PortfolioSolver, RacingSolveWithStopFlagReturnsPromptly)
+{
+    // Every facade request carries a never-fired stop flag, so the
+    // watcher that relays it must not hold a finished race back
+    // for the rest of its 5 ms poll. A trivial formula races in
+    // microseconds; a watcher that sleeps out its slice makes every
+    // solve last at least 5 ms. The fastest of many solves is the
+    // statistic, because a loaded sanitizer runner can delay any
+    // single thread start and join by a scheduler tick.
+    PortfolioSolver solver(withInstances(2, 2));
+    const Var a = solver.newVar();
+    solver.addClause({mkLit(a)});
+    std::atomic<bool> stop{false};
+    Budget budget;
+    budget.stopFlag = &stop;
+    // The first solve builds the instances and starts the pool,
+    // whose fresh workers can finish the race before the watcher
+    // even starts; only later solves show the watcher's latency.
+    ASSERT_EQ(solver.solve({}, budget), SolveStatus::Sat);
+    double fastest_ms = 1e9;
+    for (int round = 0; round < 40; ++round) {
+        const auto start = std::chrono::steady_clock::now();
+        ASSERT_EQ(solver.solve({}, budget), SolveStatus::Sat);
+        fastest_ms = std::min(
+            fastest_ms, std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+    }
+    EXPECT_LT(fastest_ms, 2.5);
 }
 
 TEST(PortfolioSolver, CnfLoadsThroughSolverBase)
