@@ -27,7 +27,7 @@ namespace fermihedral::bench {
 
 /**
  * The shared SAT-engine flags: every descent-running binary
- * registers the same portfolio/preprocessing knobs with one
+ * registers the same portfolio and descent knobs with one
  * EngineFlags::add(flags) call. Registration also arms an active
  * overlay that descentOptions() and compilationRequest() apply, so
  * the knobs reach every descent in the binary without threading
@@ -38,7 +38,6 @@ struct EngineFlags
     const std::int64_t *threads = nullptr;
     const std::int64_t *instances = nullptr;
     const bool *racing = nullptr;
-    const bool *preprocess = nullptr;
     const bool *carry = nullptr;
     const bool *inprocess = nullptr;
     const double *deadlineSeconds = nullptr;
@@ -61,9 +60,6 @@ struct EngineFlags
             "race diversified instances with clause sharing, first "
             "finisher wins (faster, but winner may vary run to run; "
             "without it one instance runs)");
-        engine.preprocess = flags.addBool(
-            "preprocess", true,
-            "simplify the clause database before solving");
         engine.carry = flags.addBool(
             "carry", true,
             "keep learnt clauses across descent steps "
@@ -91,7 +87,6 @@ struct EngineFlags
         options.portfolioInstances = static_cast<std::size_t>(
             *instances < 0 ? 0 : *instances);
         options.deterministic = !*racing;
-        options.preprocess = *preprocess;
         options.carryLearnts = *carry;
         options.inprocess = *inprocess;
         return options;

@@ -7,15 +7,11 @@
  * is the time until the best model was found.
  *
  * On top of the paper's figure this binary exposes the SAT engine:
- * --threads/--instances/--racing/--preprocess select the portfolio
+ * --threads/--instances/--racing select the portfolio
  * configuration, a second table reports per-run solver statistics
- * (propagations, conflicts, learnt literals, simplifier
- * eliminations), --compare races the configured engine against
- * its ungated predecessor (unbudgeted upfront preprocessing, no
- * between-step maintenance) at equal budgets — best-of---repeats
- * per cell — and reports the descended-cost-vs-wallclock outcome,
- * and --json dumps everything as a machine-readable artifact for
- * CI trend tracking.
+ * (propagations, conflicts, learnt literals, inprocessing), and
+ * --json dumps everything as a machine-readable artifact for CI
+ * trend tracking.
  */
 
 #include <algorithm>
@@ -41,24 +37,12 @@ struct Measurement
 };
 
 Measurement
-run(std::size_t modes, bench::Config config, double timeout,
-    bool baseline_engine)
+run(std::size_t modes, bench::Config config, double timeout)
 {
-    // Same paper configuration the other benches use. The
-    // registered EngineFlags overlay has already been applied by
-    // descentOptions(); baseline runs then pin the previous
-    // engine generation over it: unconditional upfront
-    // preprocessing (no wall-clock budget, no size ceiling) and no
-    // between-step maintenance. It reused one incremental solver
-    // across bound steps — implicit carry-over — so carry stays on.
-    core::DescentOptions options =
+    // Same paper configuration the other benches use, with the
+    // registered EngineFlags overlay applied by descentOptions().
+    const core::DescentOptions options =
         bench::descentOptions(config, timeout / 2.0, timeout);
-    if (baseline_engine) {
-        options.inprocess = false;
-        options.carryLearnts = true;
-        options.preprocessBudgetSeconds = -1.0;
-        options.preprocessMaxClauses = 0;
-    }
     core::DescentSolver solver(modes, options);
     Measurement m;
     m.result = solver.solve();
@@ -110,13 +94,6 @@ appendRunJson(std::string &json, const char *label,
         .member("conflicts", s.aggregate.conflicts)
         .member("learnt_literals", s.aggregate.learntLiterals)
         .member("shared_out", s.aggregate.sharedOut)
-        .member("eliminated_vars",
-                s.simplifier.eliminatedVariables)
-        .member("subsumed", s.simplifier.subsumedClauses)
-        .member("strengthened", s.simplifier.strengthenedLiterals)
-        .member("simplified_clauses",
-                s.simplifier.simplifiedClauses)
-        .member("simplify_s", s.simplifier.seconds)
         .member("gc_runs", s.aggregate.garbageCollects)
         .member("reclaimed_words", s.aggregate.reclaimedWords)
         .member("inprocessings", s.aggregate.inprocessings)
@@ -146,15 +123,6 @@ main(int argc, char **argv)
     const auto *timeout =
         flags.addDouble("timeout", 60.0, "budget per run (s)");
     const auto engine = bench::EngineFlags::add(flags);
-    const auto *compare = flags.addBool(
-        "compare", false,
-        "also run the previous engine generation (ungated upfront "
-        "preprocessing, no between-step maintenance) and report "
-        "cost-vs-wallclock against it");
-    const auto *repeats = flags.addInt(
-        "repeats", 3,
-        "best-of repeats per --compare measurement (the duel "
-        "decides sub-10ms races; single runs are noise-bound)");
     const auto *json_path = flags.addString(
         "json", "", "write run statistics to this JSON file");
     const auto tflags = telemetry::TelemetryFlags::add(flags);
@@ -169,24 +137,19 @@ main(int argc, char **argv)
                  "Speedup", "Solve w/ (s)", "Solve w/o (s)",
                  "Speedup", "Same cost?"});
     Table stats({"Modes", "Config", "Props", "Conflicts",
-                 "Learnt lits", "Elim vars", "Subsumed",
-                 "Clauses simp/orig", "GCs", "Inproc",
-                 "Viv lits", "SAT calls", "Cost@walltime"});
+                 "Learnt lits", "GCs", "Inproc", "Viv lits",
+                 "SAT calls", "Cost@walltime"});
 
     // Discarded warmup: the first descent of the process pays the
     // allocator and page-fault costs, which at N=2/3 are the same
     // order as the measured solve itself.
-    (void)run(2, bench::Config::NoAlg, *timeout,
-              /*baseline_engine=*/false);
+    (void)run(2, bench::Config::NoAlg, *timeout);
 
     for (std::int64_t n = 2; n <= *max_modes; ++n) {
-        const auto with =
-            run(static_cast<std::size_t>(n),
-                bench::Config::FullSat, *timeout,
-                /*baseline_engine=*/false);
-        const auto without =
-            run(static_cast<std::size_t>(n), bench::Config::NoAlg,
-                *timeout, /*baseline_engine=*/false);
+        const auto with = run(static_cast<std::size_t>(n),
+                              bench::Config::FullSat, *timeout);
+        const auto without = run(static_cast<std::size_t>(n),
+                                 bench::Config::NoAlg, *timeout);
         auto speedup = [](double a, double b) {
             return b > 1e-9 ? Table::num(a / b, 1) + "x"
                             : std::string("-");
@@ -209,15 +172,6 @@ main(int argc, char **argv)
                  Table::num(std::int64_t(s.aggregate.conflicts)),
                  Table::num(std::int64_t(
                      s.aggregate.learntLiterals)),
-                 Table::num(std::int64_t(
-                     s.simplifier.eliminatedVariables)),
-                 Table::num(std::int64_t(
-                     s.simplifier.subsumedClauses)),
-                 Table::num(std::int64_t(
-                     s.simplifier.simplifiedClauses)) +
-                     "/" +
-                     Table::num(std::int64_t(
-                         s.simplifier.originalClauses)),
                  Table::num(std::int64_t(
                      s.aggregate.garbageCollects)),
                  Table::num(std::int64_t(
@@ -246,98 +200,12 @@ main(int argc, char **argv)
             ? static_cast<std::size_t>(*engine.instances)
             : resolved_threads;
     std::printf("Engine: %zu instance(s) on %zu thread(s), %s, "
-                "preprocessing %s, carry-over %s, "
-                "inprocessing %s.\n",
+                "carry-over %s, inprocessing %s.\n",
                 resolved_instances,
                 std::min(resolved_threads, resolved_instances),
                 *engine.racing ? "racing" : "deterministic",
-                *engine.preprocess ? "on" : "off",
                 *engine.carry ? "on" : "off",
                 *engine.inprocess ? "on" : "off");
-
-    if (*compare) {
-        std::printf("\n");
-        bench::banner("gated engine vs ungated predecessor "
-                      "at equal budgets",
-                      "Figure 11 extension");
-        Table duel({"Modes", "Config", "Cost base", "Cost engine",
-                    "t-best base (s)", "t-best engine (s)",
-                    "Speedup"});
-        // Lower cost wins outright; at equal cost the faster
-        // time-to-best does. Best-of-R with the two engines
-        // interleaved: process-level noise (page cache, scheduler)
-        // drifts over seconds, and at sub-10ms scales a single
-        // measurement is decided by that drift, not the solver.
-        const auto better = [](const Measurement &a,
-                               const Measurement &b) {
-            if (b.result.cost != a.result.cost)
-                return b.result.cost < a.result.cost;
-            return b.solve < a.solve;
-        };
-        const std::int64_t rounds = std::max<std::int64_t>(
-            std::int64_t{1}, *repeats);
-        for (std::int64_t n = 2; n <= *max_modes; ++n) {
-            for (const auto config : {bench::Config::FullSat,
-                                      bench::Config::NoAlg}) {
-                const bool full =
-                    config == bench::Config::FullSat;
-                auto base =
-                    run(static_cast<std::size_t>(n), config,
-                        *timeout, /*baseline_engine=*/true);
-                auto tuned =
-                    run(static_cast<std::size_t>(n), config,
-                        *timeout, /*baseline_engine=*/false);
-                // Cells whose whole solve is under half a second
-                // are decided by sub-millisecond scheduler noise:
-                // buy those extra rounds, they cost nearly nothing.
-                for (std::int64_t r = 1;
-                     r < rounds ||
-                     (r < 5 * rounds &&
-                      std::min(base.totalSolve,
-                               tuned.totalSolve) < 0.5);
-                     ++r) {
-                    const auto b =
-                        run(static_cast<std::size_t>(n), config,
-                            *timeout, /*baseline_engine=*/true);
-                    if (better(base, b))
-                        base = b;
-                    const auto e =
-                        run(static_cast<std::size_t>(n), config,
-                            *timeout, /*baseline_engine=*/false);
-                    if (better(tuned, e))
-                        tuned = e;
-                }
-                duel.addRow(
-                    {Table::num(n), full ? "w/ alg" : "w/o alg",
-                     Table::num(std::int64_t(base.result.cost)),
-                     Table::num(std::int64_t(tuned.result.cost)),
-                     Table::num(base.solve, 4),
-                     Table::num(tuned.solve, 4),
-                     tuned.solve > 1e-9
-                         ? Table::num(base.solve / tuned.solve,
-                                      2) +
-                               "x"
-                         : "-"});
-                // Both duel sides go to the JSON so engine_* vs
-                // baseline_* reproduces the table exactly (the
-                // first-loop full_sat/no_alg rows are single-shot
-                // and noisier).
-                appendRunJson(json,
-                              full ? "baseline_full_sat"
-                                   : "baseline_no_alg",
-                              n, base);
-                appendRunJson(json,
-                              full ? "engine_full_sat"
-                                   : "engine_no_alg",
-                              n, tuned);
-            }
-        }
-        std::printf("%s", duel.render().c_str());
-        std::printf("t-best is the wall-clock until the cheapest "
-                    "encoding was found (the paper's solve-time "
-                    "convention); equal costs with a smaller "
-                    "t-best is the win condition.\n");
-    }
 
     json += "\n]\n";
     if (!json_path->empty()) {

@@ -328,8 +328,7 @@ BENCHMARK(BM_SatSolveRandom3Sat)->Arg(50)->Arg(100);
 void
 BM_PortfolioSolveRandom3Sat(benchmark::State &state)
 {
-    // The full new-engine path — preprocessing plus a racing
-    // portfolio of `instances` — on the same instances as
+    // A racing portfolio of `instances` on the same instances as
     // BM_SatSolveRandom3Sat's 100-variable arg.
     const std::size_t instances =
         static_cast<std::size_t>(state.range(0));
@@ -383,20 +382,19 @@ encodingCnf()
 void
 BM_SimplifyEncodingInstance(benchmark::State &state)
 {
-    // One full preprocessing run (subsumption + self-subsuming
-    // resolution + BVE) over the N=4 full-SAT encoding instance.
+    // One simplifier run (subsumption + self-subsuming resolution,
+    // as inprocessing does) over the N=4 full-SAT encoding instance.
     const sat::Cnf &cnf = encodingCnf();
-    std::size_t eliminated = 0;
+    std::size_t subsumed = 0;
     for (auto _ : state) {
         sat::Simplifier simp(cnf.numVars);
         for (const auto &clause : cnf.clauses)
             simp.addClause(clause);
         simp.run();
-        eliminated = simp.stats().eliminatedVariables;
-        benchmark::DoNotOptimize(eliminated);
+        subsumed = simp.stats().subsumedClauses;
+        benchmark::DoNotOptimize(subsumed);
     }
-    state.counters["eliminated_vars"] =
-        static_cast<double>(eliminated);
+    state.counters["subsumed"] = static_cast<double>(subsumed);
     state.counters["clauses"] =
         static_cast<double>(cnf.clauses.size());
 }
@@ -406,11 +404,10 @@ void
 BM_DescentSolve(benchmark::State &state)
 {
     // Wall-clock of a full Algorithm 1 descent (N=3, full SAT,
-    // deterministic) with preprocessing off (arg 0) or on (arg 1).
+    // deterministic).
     core::DescentOptions options;
     options.stepTimeoutSeconds = 30.0;
     options.totalTimeoutSeconds = 60.0;
-    options.preprocess = state.range(0) != 0;
     std::size_t cost = 0;
     for (auto _ : state) {
         core::DescentSolver solver(3, options);
@@ -420,7 +417,7 @@ BM_DescentSolve(benchmark::State &state)
     }
     state.counters["cost"] = static_cast<double>(cost);
 }
-BENCHMARK(BM_DescentSolve)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_DescentSolve)->UseRealTime();
 
 void
 BM_TotalizerConstruction(benchmark::State &state)

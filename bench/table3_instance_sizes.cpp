@@ -3,15 +3,12 @@
  * Table 3: number of variables and clauses in the generated SAT
  * instances with and without the algebraic independence
  * constraints (Hamiltonian-independent weight objective), plus the
- * effect of clause-database preprocessing on the instances the
- * descent actually solves.
+ * solver-core layout of the "without" instances.
  *
  * The construction is counted on a fresh solver per row; no solving
  * happens. Defaults build "with" instances up to N = 7 (N = 8 takes
  * a while and several GB in the paper's setup too) and "without" up
- * to N = 18 like the paper. The preprocessing columns run the
- * simplifier exactly as a descent solve would: operator bits and
- * totalizer outputs frozen, everything else eliminable.
+ * to N = 18 like the paper.
  */
 
 #include <cstdio>
@@ -20,7 +17,6 @@
 #include "common/flags.h"
 #include "common/table.h"
 #include "core/encoding_model.h"
-#include "sat/portfolio.h"
 #include "sat/solver.h"
 
 using namespace fermihedral;
@@ -33,45 +29,22 @@ struct InstanceSize
     std::size_t clauses = 0;
     std::size_t binaryClauses = 0;
     std::size_t arenaWords = 0;
-    std::size_t simplifiedVars = 0;
-    std::size_t simplifiedClauses = 0;
-    std::size_t eliminated = 0;
-    double simplifySeconds = 0.0;
 };
 
 InstanceSize
-buildInstance(std::size_t modes, bool algebraic_independence,
-              bool simplify)
+buildInstance(std::size_t modes, bool algebraic_independence)
 {
     InstanceSize size;
     core::EncodingModelOptions options;
     options.modes = modes;
     options.algebraicIndependence = algebraic_independence;
     options.costCap = enc::bravyiKitaev(modes).totalWeight();
-    {
-        sat::Solver solver;
-        core::EncodingModel model(solver, options);
-        size.vars = solver.numVars();
-        size.clauses = solver.numClauses();
-        size.binaryClauses = solver.numBinaryClauses();
-        size.arenaWords = solver.arenaWords();
-    }
-    if (simplify) {
-        sat::PortfolioOptions engine;
-        engine.instances = 1;
-        sat::PortfolioSolver solver(engine);
-        core::EncodingModel model(solver, options);
-        solver.prepare();
-        const auto &stats = solver.portfolioStats().simplifier;
-        // The simplifier's own wall-clock, excluding the CDCL
-        // instance construction prepare() also performs.
-        size.simplifySeconds = stats.seconds;
-        size.eliminated = stats.eliminatedVariables;
-        size.simplifiedVars = solver.numVars() -
-                              stats.eliminatedVariables -
-                              stats.fixedVariables;
-        size.simplifiedClauses = stats.simplifiedClauses;
-    }
+    sat::Solver solver;
+    core::EncodingModel model(solver, options);
+    size.vars = solver.numVars();
+    size.clauses = solver.numClauses();
+    size.binaryClauses = solver.numBinaryClauses();
+    size.arenaWords = solver.arenaWords();
     return size;
 }
 
@@ -81,14 +54,11 @@ int
 main(int argc, char **argv)
 {
     FlagSet flags("Table 3: SAT instance sizes w/ and w/o "
-                  "algebraic independence, raw and preprocessed.");
+                  "algebraic independence.");
     const auto *max_with = flags.addInt(
         "max-with", 7, "largest N for the 'with' instances");
     const auto *max_without = flags.addInt(
         "max-without", 18, "largest N for the 'without' instances");
-    const auto *max_simplify = flags.addInt(
-        "max-simplify", 10,
-        "largest N to run the simplifier on (0 disables)");
     const auto tflags = telemetry::TelemetryFlags::add(flags);
     if (!flags.parse(argc, argv))
         return 0;
@@ -98,20 +68,17 @@ main(int argc, char **argv)
     Table table({"Modes", "#Vars w/", "#Vars w/o", "#Clauses w/",
                  "#Clauses w/o", "Vars/Clause w/",
                  "Vars/Clause w/o"});
-    Table simplified({"Modes", "#Vars w/o", "simp", "#Clauses w/o",
-                      "simp", "Eliminated", "Simplify (s)"});
     Table layout({"Modes", "#Clauses w/o", "Binary", "Long",
                   "Arena KiB", "B/clause"});
 
     for (std::int64_t n = 2; n <= *max_without; ++n) {
-        const bool simplify = n <= *max_simplify;
-        const auto without = buildInstance(
-            static_cast<std::size_t>(n), false, simplify);
+        const auto without =
+            buildInstance(static_cast<std::size_t>(n), false);
         std::string with_vars = "N/A", with_clauses = "N/A",
                     with_ratio = "N/A";
         if (n <= *max_with) {
-            const auto with = buildInstance(
-                static_cast<std::size_t>(n), true, false);
+            const auto with =
+                buildInstance(static_cast<std::size_t>(n), true);
             with_vars = Table::num(std::int64_t(with.vars));
             with_clauses = Table::num(std::int64_t(with.clauses));
             with_ratio = Table::num(
@@ -124,18 +91,6 @@ main(int argc, char **argv)
              Table::num(double(without.clauses) /
                             double(without.vars),
                         2)});
-        if (simplify) {
-            simplified.addRow(
-                {Table::num(n),
-                 Table::num(std::int64_t(without.vars)),
-                 Table::num(
-                     std::int64_t(without.simplifiedVars)),
-                 Table::num(std::int64_t(without.clauses)),
-                 Table::num(
-                     std::int64_t(without.simplifiedClauses)),
-                 Table::num(std::int64_t(without.eliminated)),
-                 Table::num(without.simplifySeconds, 4)});
-        }
         layout.addRow(
             {Table::num(n),
              Table::num(std::int64_t(without.clauses)),
@@ -153,12 +108,6 @@ main(int argc, char **argv)
     std::printf("%s", table.render().c_str());
     std::printf("The 'with' columns grow ~4^N (paper: N/A beyond "
                 "8); the 'without' columns grow ~N^2.\n\n");
-    std::printf("%s", simplified.render().c_str());
-    std::printf("Preprocessing (subsumption, self-subsuming "
-                "resolution, bounded variable elimination; "
-                "operator bits and totalizer outputs frozen) "
-                "shrinks the instances before the descent's first "
-                "SAT call.\n\n");
     std::printf("%s", layout.render().c_str());
     std::printf("Solver-core layout of the raw instances: binary "
                 "clauses propagate entirely from their dedicated "

@@ -58,14 +58,7 @@ Compiler::assemble(const CompilationRequest &request,
 {
     Timer timer;
     CompilationResult result;
-    result.encoding = outcome.encoding;
-    result.cost = outcome.cost;
-    result.baselineCost = outcome.baselineCost;
-    result.annealedCost = outcome.annealedCost;
-    result.provedOptimal = outcome.provedOptimal;
-    result.satCalls = outcome.satCalls;
-    result.status = outcome.status;
-    result.statusMessage = outcome.statusMessage;
+    static_cast<SearchOutcome &>(result) = outcome;
     result.strategy = request.strategy;
     result.objective = request.resolvedObjective();
     result.validation = enc::validateEncoding(result.encoding);

@@ -198,9 +198,11 @@ struct SearchOutcome
     std::size_t satCalls = 0;
 
     /**
-     * Transport metadata, not provenance: how the search ended.
-     * Never serialized — caches only ever store Ok outcomes, so a
-     * parsed outcome's default Ok is correct by construction.
+     * Transport metadata, not provenance: how the search ended
+     * (see ResultStatus). Non-Ok results other than Shed/Error
+     * still carry a valid encoding. Never serialized — caches only
+     * ever store Ok outcomes, so a parsed outcome's default Ok is
+     * correct by construction.
      */
     ResultStatus status = ResultStatus::Ok;
 
@@ -208,12 +210,12 @@ struct SearchOutcome
     std::string statusMessage;
 };
 
-/** The full output of one compilation. */
-struct CompilationResult
+/**
+ * The full output of one compilation: the search outcome the
+ * strategy returned, plus what Compiler::assemble derives from it.
+ */
+struct CompilationResult : SearchOutcome
 {
-    /** The chosen Fermion-to-qubit encoding. */
-    enc::FermionEncoding encoding;
-
     /**
      * The problem Hamiltonian mapped through `encoding` (empty sum
      * when the request carried no Hamiltonian).
@@ -226,23 +228,11 @@ struct CompilationResult
      */
     std::vector<pauli::CommutingGroup> measurementGroups;
 
-    // --- cost -------------------------------------------------
-    /** Objective value of `encoding`. */
-    std::size_t cost = 0;
-    /** Objective value of the Bravyi-Kitaev baseline. */
-    std::size_t baselineCost = 0;
-    /** Post-annealing objective value (0 when not annealed). */
-    std::size_t annealedCost = 0;
-    /** `cost` is proved optimal. */
-    bool provedOptimal = false;
-
     // --- provenance -------------------------------------------
     /** Strategy that produced the encoding. */
     std::string strategy;
     /** Resolved objective the search minimised. */
     Objective objective = Objective::TotalWeight;
-    /** SAT solve() calls made (0 = no SAT involved). */
-    std::size_t satCalls = 0;
     /** Constraint checks re-evaluated on `encoding`. */
     enc::EncodingValidation validation;
 
@@ -255,14 +245,6 @@ struct CompilationResult
     bool fromCache = false;
     /** The result shared another in-flight request's search. */
     bool coalesced = false;
-    /**
-     * How the compilation ended (see ResultStatus). Non-Ok results
-     * other than Shed/Error still carry a valid encoding; they are
-     * never cached.
-     */
-    ResultStatus status = ResultStatus::Ok;
-    /** Human-readable detail for non-Ok statuses. */
-    std::string statusMessage;
 };
 
 /**

@@ -287,13 +287,7 @@ serializeResult(const CompilationResult &result)
     out << kResultHeader << '\n'
         << "strategy " << result.strategy << '\n'
         << "objective " << objectiveName(result.objective) << '\n';
-    SearchOutcome outcome;
-    outcome.cost = result.cost;
-    outcome.baselineCost = result.baselineCost;
-    outcome.annealedCost = result.annealedCost;
-    outcome.provedOptimal = result.provedOptimal;
-    outcome.satCalls = result.satCalls;
-    appendOutcomeFields(out, outcome);
+    appendOutcomeFields(out, result);
     appendEncoding(out, result.encoding);
 
     const auto &terms = result.qubitHamiltonian.terms();
@@ -327,12 +321,8 @@ tryParseResult(std::string_view text)
     const auto outcome = readOutcomeFields(reader);
     if (reader.failed || !objective || !outcome)
         return std::nullopt;
+    static_cast<SearchOutcome &>(result) = *outcome;
     result.objective = *objective;
-    result.cost = outcome->cost;
-    result.baselineCost = outcome->baselineCost;
-    result.annealedCost = outcome->annealedCost;
-    result.provedOptimal = outcome->provedOptimal;
-    result.satCalls = outcome->satCalls;
 
     const auto encoding = readEncoding(reader);
     if (!encoding)

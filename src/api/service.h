@@ -21,12 +21,12 @@
  * list and, with a Hamiltonian, a hash of the raw terms (the
  * routed strategies route the mapped Trotter circuit, which the
  * structure masks alone do not determine). Execution knobs
- * (budgets, deadline, cancellation, threads, determinism,
- * preprocessing) are deliberately NOT part of the identity: once a
- * spec is solved, later requests reuse the encoding whatever budget
- * they carried. A custom strategy whose search depends on data
- * outside the key (e.g.\ raw term coefficients) should run with
- * caching disabled (cacheCapacity = 0 and no disk path).
+ * (budgets, deadline, cancellation, threads, determinism) are
+ * deliberately NOT part of the identity: once a spec is solved,
+ * later requests reuse the encoding whatever budget they carried.
+ * A custom strategy whose search depends on data outside the key
+ * (e.g.\ raw term coefficients) should run with caching disabled
+ * (cacheCapacity = 0 and no disk path).
  *
  * Failure model (docs/ARCHITECTURE.md, "Failure model"):
  *  - compile()/submit() return a CompilationResult for every

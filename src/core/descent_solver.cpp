@@ -39,10 +39,6 @@ DescentSolver::makeSolver() const
     portfolio.threads = options.threads;
     portfolio.instances =
         options.deterministic ? 1 : options.portfolioInstances;
-    portfolio.preprocess = options.preprocess;
-    portfolio.simplify.timeBudgetSeconds =
-        options.preprocessBudgetSeconds;
-    portfolio.preprocessMaxClauses = options.preprocessMaxClauses;
     return std::make_unique<sat::PortfolioSolver>(portfolio);
 }
 

@@ -119,7 +119,10 @@ struct EngineOptions
      */
     bool deterministic = true;
 
-    /** Simplify the clause database before the first SAT call. */
+    /**
+     * Read by nothing: perfbench's cold_ladder still assigns it,
+     * and ROADMAP item 8(f) drops it there and here.
+     */
     bool preprocess = true;
 
     /**
@@ -167,26 +170,6 @@ struct DescentOptions : EngineOptions
 
     /** Wall-clock budget for the whole descent (seconds). */
     double totalTimeoutSeconds = 300.0;
-
-    /**
-     * Wall-clock cap on the upfront simplification run (`preprocess`)
-     * (<= 0 = unlimited). Preprocessing pays for itself many times
-     * over during the UNSAT proving rounds, but the paper's
-     * time-to-best clock starts before the first model: without a
-     * cap the simplifier can spend longer on a dense 4^N-clause
-     * instance than the whole improving phase takes.
-     */
-    double preprocessBudgetSeconds = 0.05;
-
-    /**
-     * Skip the upfront pass entirely for instances staged with
-     * more than this many clauses (0 = no ceiling). On
-     * totalizer-dominated instances past a few thousand clauses
-     * the occurrence index alone outweighs the improving phase;
-     * the gated inprocessing recovers the simplification once the
-     * proving rounds make it worthwhile.
-     */
-    std::size_t preprocessMaxClauses = 4000;
 
     /**
      * Cooperative cancellation: when non-null and set, the descent
@@ -254,9 +237,8 @@ struct DescentResult
 
     /**
      * SAT-engine counters for the whole run: per-instance search
-     * work (propagations/conflicts/learnt literals), preprocessing
-     * effect (eliminated variables, subsumed clauses, simplified
-     * instance size) and portfolio arbitration outcomes.
+     * work (propagations/conflicts/learnt literals, inprocessing
+     * effect) and portfolio arbitration outcomes.
      */
     sat::PortfolioStats satStats;
 };

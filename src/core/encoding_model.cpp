@@ -28,26 +28,6 @@ EncodingModel::EncodingModel(sat::SolverBase &solver,
         buildHamiltonianCost();
     totalizer = std::make_unique<sat::Totalizer>(
         solver, costInputs, options.costCap);
-    freezeInterface();
-}
-
-void
-EncodingModel::freezeInterface()
-{
-    // The descent loop keeps talking to these variables after the
-    // first solve: decode()/warmStart()/blockCurrentSolution() use
-    // the operator bits, boundCostAtMost()/costAtMostAssumption()
-    // the totalizer outputs. A preprocessing solver must therefore
-    // never eliminate them; everything else (Tseitin auxiliaries,
-    // totalizer internals) is fair game.
-    for (const auto &per_string : vars) {
-        for (const auto &[b1, b2] : per_string) {
-            solver.freeze(b1);
-            solver.freeze(b2);
-        }
-    }
-    for (const sat::Lit lit : totalizer->outputLits())
-        solver.freeze(sat::litVar(lit));
 }
 
 void

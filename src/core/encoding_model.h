@@ -26,12 +26,7 @@
  *  - All constraints are built into the solver by the constructor;
  *    afterwards the model only reads literals, asserts bounds and
  *    decodes. The solver must outlive the model. Any SolverBase
- *    works: the plain CDCL engine or the preprocessing portfolio.
- *  - The model's interface variables — every operator bit and
- *    every totalizer output — are freeze()d on the solver, so a
- *    preprocessing solver keeps them addressable for the descent
- *    loop's later bounds, assumptions, blocking clauses and
- *    decode() reads.
+ *    works: the plain CDCL engine or the portfolio.
  *  - decode() requires the solver to hold a satisfying model; the
  *    decoded encoding then satisfies every enabled constraint and
  *    costOf(decode()) is the exact objective the totalizer counted.
@@ -142,7 +137,6 @@ class EncodingModel
     std::unique_ptr<sat::Totalizer> totalizer;
 
     void buildVariables();
-    void freezeInterface();
     void buildAnticommutativity();
     void buildAlgebraicIndependence();
     void buildVacuumPreservation();

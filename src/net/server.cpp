@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <unistd.h>
 
@@ -146,9 +145,7 @@ EncodingServer::startCompile(std::uint64_t conn_id,
     }
     // Unknown strategy names are fatal inside submit(); over the
     // wire they must come back as a typed Error result instead.
-    const auto known = api::registeredStrategyNames();
-    if (std::find(known.begin(), known.end(), request->strategy) ==
-        known.end()) {
+    if (!api::strategyRegistered(request->strategy)) {
         state.conn.completeCompile(
             id, api::ResultStatus::Error,
             "unknown strategy '" + request->strategy + "'", "");

@@ -14,9 +14,9 @@
  *    regardless of input polarity.
  *  - All variables and clauses go into the solver passed at
  *    construction (any SolverBase: the plain CDCL engine or the
- *    preprocessing portfolio); Formula itself holds no clause
- *    state beyond the shared true-literal, and several Formulas
- *    may target one solver.
+ *    portfolio); Formula itself holds no clause state beyond the
+ *    shared true-literal, and several Formulas may target one
+ *    solver.
  *  - Gate clause counts are fixed: and/or cost |inputs| + 1
  *    clauses, a binary xor costs 4; mkXorChain is linear in the
  *    input count.

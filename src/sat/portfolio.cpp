@@ -162,7 +162,6 @@ PortfolioSolver::newVar()
 {
     const Var var = static_cast<Var>(varCount);
     ++varCount;
-    frozenVars.push_back(0);
     stagedUnits.push_back(LBool::Undef);
     if (built) {
         for (auto &instance : instances)
@@ -187,15 +186,6 @@ PortfolioSolver::checkIncrementalLits(
         require(var >= 0 &&
                     static_cast<std::size_t>(var) < varCount,
                 "literal references unknown variable");
-        // Variables created after the build postdate the
-        // simplifier and can never have been eliminated.
-        require(!simplifier ||
-                    static_cast<std::size_t>(var) >=
-                        simplifier->numVars() ||
-                    !simplifier->isEliminated(var),
-                "variable ", var,
-                " was eliminated by preprocessing; freeze() "
-                "variables used after the first solve");
     }
 }
 
@@ -265,51 +255,13 @@ PortfolioSolver::boostActivity(Var var, double amount)
 }
 
 void
-PortfolioSolver::freeze(Var var)
-{
-    require(static_cast<std::size_t>(var) < varCount,
-            "freeze on unknown variable");
-    // After the build the formula is already simplified; freezing
-    // is only meaningful for variables that survived, which are
-    // exactly the ones still usable anyway.
-    if (!built)
-        frozenVars[var] = 1;
-}
-
-void
-PortfolioSolver::build(bool skip_preprocess)
+PortfolioSolver::build()
 {
     require(!built, "portfolio built twice");
     telemetry::TraceSpan span("portfolio.build");
     if (span.active()) {
         span.arg("instances", instanceCount);
         span.arg("clauses", pendingClauses.size());
-    }
-
-    std::vector<std::vector<Lit>> load;
-    const bool under_ceiling =
-        options.preprocessMaxClauses == 0 ||
-        pendingClauses.size() <= options.preprocessMaxClauses;
-    if (options.preprocess && under_ceiling && !skip_preprocess &&
-        !stagedUnsat) {
-        simplifier = std::make_unique<Simplifier>(varCount);
-        for (const auto &clause : pendingClauses)
-            simplifier->addClause(clause);
-        for (std::size_t var = 0; var < varCount; ++var) {
-            if (frozenVars[var])
-                simplifier->freeze(static_cast<Var>(var));
-        }
-        simplifier->run(options.simplify);
-        portfolio.simplifier = simplifier->stats();
-        if (simplifier->inconsistent())
-            topLevelUnsat = true;
-        else
-            load = simplifier->simplifiedClauses();
-    } else {
-        if (stagedUnsat)
-            topLevelUnsat = true;
-        load = std::move(pendingClauses);
-        pendingClauses.clear();
     }
 
     // Instances are independent until the exchange connects them,
@@ -328,8 +280,8 @@ PortfolioSolver::build(bool skip_preprocess)
             instance->setPolarity(var, value);
         for (const auto &[var, amount] : pendingActivity)
             instance->boostActivity(var, amount);
-        if (!topLevelUnsat) {
-            for (const auto &clause : load)
+        if (!stagedUnsat) {
+            for (const auto &clause : pendingClauses)
                 instance->addClause(clause);
         }
         instances[i] = std::move(instance);
@@ -349,17 +301,10 @@ PortfolioSolver::build(bool skip_preprocess)
     built = true;
 }
 
-void
-PortfolioSolver::prepare()
-{
-    if (!built)
-        build(/*skip_preprocess=*/false);
-}
-
 bool
 PortfolioSolver::inprocess()
 {
-    if (!built || topLevelUnsat)
+    if (!built || stagedUnsat)
         return !inconsistent();
     // Each instance inprocesses its own database, so the passes
     // fan out over the pool independently.
@@ -383,12 +328,12 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
                        const Budget &budget)
 {
     if (!built)
-        build(/*skip_preprocess=*/!assumptions.empty());
+        build();
     telemetry::TraceSpan span("portfolio.solve");
     if (span.active())
         span.arg("instances", instanceCount);
     ++portfolio.solves;
-    if (topLevelUnsat) {
+    if (stagedUnsat) {
         ++portfolio.unsatAnswers;
         portfolio.lastWinner = 0;
         return SolveStatus::Unsat;
@@ -515,11 +460,6 @@ PortfolioSolver::publishModel(const Solver &winner)
     fullModel.resize(varCount, LBool::Undef);
     for (std::size_t var = 0; var < varCount; ++var)
         fullModel[var] = winner.modelValue(static_cast<Var>(var));
-    // Eliminated variables carry arbitrary values in the winner's
-    // model (they occur in no clause there); the witness stack
-    // overwrites them with values satisfying the original formula.
-    if (simplifier)
-        simplifier->reconstruct(fullModel);
 }
 
 LBool
@@ -533,9 +473,7 @@ PortfolioSolver::modelValue(Var var) const
 bool
 PortfolioSolver::inconsistent() const
 {
-    if (!built)
-        return stagedUnsat;
-    return topLevelUnsat ||
+    return stagedUnsat ||
            std::any_of(instances.begin(), instances.end(),
                        [](const auto &instance) {
                            return instance->inconsistent();

@@ -1,35 +1,30 @@
 /**
  * @file
- * Parallel portfolio SAT engine with clause-database preprocessing.
+ * Parallel portfolio SAT engine.
  *
  * PortfolioSolver presents the SolverBase surface but, underneath,
- * stages the incoming formula, simplifies it once
- * (sat/preprocess.h) and then runs one CDCL instance, or races N
- * diversified ones (different EVSIDS seeds, phase policies and
- * restart schedules) over a shared ThreadPool, on every solve()
- * call. Racing instances exchange short low-LBD learnt clauses
- * through a lock-light append-only buffer; the first decisive
- * finisher wins and cancels the rest through the Budget stop flag,
- * so the winning instance — and hence the model — may differ run
- * to run. A one-instance portfolio is the deterministic mode: its
- * answers are a pure function of the call sequence and budgets.
+ * stages the incoming formula until the first solve() call, loads
+ * it into one CDCL instance or N diversified ones (different EVSIDS
+ * seeds, phase policies and restart schedules), and from then on
+ * runs the one instance, or races the N over a shared ThreadPool,
+ * on every solve() call. Racing instances exchange short low-LBD
+ * learnt clauses through a lock-light append-only buffer; the first
+ * decisive finisher wins and cancels the rest through the Budget
+ * stop flag, so the winning instance — and hence the model — may
+ * differ run to run. A one-instance portfolio is the deterministic
+ * mode: its answers are a pure function of the call sequence and
+ * budgets.
  *
  * Key invariants:
  *  - Variable numbering is shared: newVar()/addClause() broadcast
  *    to every instance in call order, so literal meanings agree
  *    across the portfolio and with the caller.
- *  - Preprocessing runs once, on the first solve() call, and only
- *    when that call has no assumptions (incremental assumptions
- *    present => preprocessing is skipped entirely). Frozen
- *    variables survive it; clauses and assumptions arriving after
- *    the first solve must mention only frozen or surviving
- *    variables (enforced).
- *  - After Sat, modelValue() is defined for every variable: the
- *    winner's model is extended over eliminated variables with the
- *    simplifier's witness stack before it is published.
- *  - With instances = 1 and preprocessing off, solve behaviour is
- *    bit-identical to a plain Solver fed the same calls, for every
- *    thread count.
+ *  - No variable is ever eliminated: clauses and assumptions may
+ *    mention any created variable at any time, and after Sat,
+ *    modelValue() is the winner's model, defined for every
+ *    variable.
+ *  - With instances = 1, solve behaviour is bit-identical to a
+ *    plain Solver fed the same calls, for every thread count.
  *  - Budget.maxSeconds bounds the whole solve() call's wall
  *    clock, not each instance: with fewer threads than instances
  *    the stragglers only get whatever the earlier finishers left
@@ -46,7 +41,6 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "sat/preprocess.h"
 #include "sat/solver.h"
 #include "sat/solver_base.h"
 #include "sat/types.h"
@@ -122,22 +116,6 @@ struct PortfolioOptions
 
     /** Threads racing the instances (0 = hardware concurrency). */
     std::size_t threads = 1;
-
-    /** Simplify the clause database before the first solve. */
-    bool preprocess = true;
-
-    /** Simplifier effort limits. */
-    SimplifierOptions simplify;
-
-    /**
-     * Skip preprocessing for instances staged with more than this
-     * many clauses (0 = no ceiling). Building the occurrence index
-     * and running the resolvent checks scales with the database
-     * size, so past some density the upfront pass costs more than
-     * it saves; inprocessing can still simplify later, once the
-     * search has shown the instance is actually hard.
-     */
-    std::size_t preprocessMaxClauses = 0;
 };
 
 /** Counters describing the portfolio's work so far. */
@@ -149,8 +127,16 @@ struct PortfolioStats
     /** Counters of the last winning instance. */
     SolverStats winner;
 
-    /** Preprocessing result (all zero when preprocessing is off). */
-    SimplifierStats simplifier;
+    /**
+     * Upfront-simplifier figures that perfbench's cold_ladder still
+     * reads; ROADMAP item 8(f) drops them. Nothing simplifies
+     * before the first solve, so both stay 0.
+     */
+    struct
+    {
+        double seconds = 0.0;
+        std::size_t eliminatedVariables = 0;
+    } simplifier;
 
     /** Index of the instance that decided the last solve. */
     std::size_t lastWinner = 0;
@@ -182,13 +168,6 @@ class PortfolioSolver final : public SolverBase
                       const Budget &budget = {}) override;
 
     /**
-     * Force the build (preprocessing + instance construction) now
-     * instead of on the first solve(). Lets instrumentation read
-     * portfolioStats().simplifier without solving anything.
-     */
-    void prepare();
-
-    /**
      * Inprocess every instance's clause database between solve()
      * calls (Solver::inprocess). Returns false when any instance
      * refuted the formula. Runs in parallel over the pool; each
@@ -208,7 +187,6 @@ class PortfolioSolver final : public SolverBase
 
     void setPolarity(Var var, bool value) override;
     void boostActivity(Var var, double amount) override;
-    void freeze(Var var) override;
 
     bool inconsistent() const override;
     const SolverStats &stats() const override;
@@ -237,24 +215,22 @@ class PortfolioSolver final : public SolverBase
     std::vector<std::vector<Lit>> pendingClauses;
     std::vector<std::pair<Var, bool>> pendingPolarity;
     std::vector<std::pair<Var, double>> pendingActivity;
-    std::vector<char> frozenVars;
     /** Values forced by staged unit clauses (conflict detection). */
     std::vector<LBool> stagedUnits;
+    /** A staged clause was empty or contradicted a staged unit. */
     bool stagedUnsat = false;
 
     // Built state.
     bool built = false;
-    std::unique_ptr<Simplifier> simplifier;
     std::vector<std::unique_ptr<Solver>> instances;
     std::unique_ptr<ClauseExchange> exchange;
     std::unique_ptr<ThreadPool> pool;
     std::vector<LBool> fullModel;
-    bool topLevelUnsat = false;
 
     mutable PortfolioStats portfolio;
     mutable SolverStats aggregateCache;
 
-    void build(bool skip_preprocess);
+    void build();
     void checkIncrementalLits(std::span<const Lit> literals) const;
     void publishModel(const Solver &winner);
 };

@@ -4,13 +4,11 @@
 
 #include "common/logging.h"
 #include "common/telemetry.h"
-#include "common/timer.h"
 
 namespace fermihedral::sat {
 
 Simplifier::Simplifier(std::size_t num_vars)
-    : occurrences(2 * num_vars), values(num_vars, LBool::Undef),
-      frozen(num_vars, 0), eliminated(num_vars, 0)
+    : occurrences(2 * num_vars), values(num_vars, LBool::Undef)
 {
 }
 
@@ -24,28 +22,6 @@ Simplifier::signatureOf(std::span<const Lit> literals)
     for (const Lit lit : literals)
         signature |= std::uint64_t{1} << (litVar(lit) & 63);
     return signature;
-}
-
-bool
-Simplifier::overBudget() const
-{
-    if (budgetSeconds <= 0.0)
-        return false;
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - budgetStart;
-    return elapsed.count() >= budgetSeconds;
-}
-
-bool
-Simplifier::pollBudget()
-{
-    // The clock read costs more than a cheap queue step does:
-    // sample it instead of reading it on every iteration.
-    if (budgetSeconds <= 0.0)
-        return false;
-    if ((++budgetTick & 63u) != 0)
-        return false;
-    return overBudget();
 }
 
 LBool
@@ -110,17 +86,7 @@ Simplifier::addClause(std::span<const Lit> literals)
 {
     require(!ran, "Simplifier::addClause after run()");
     ++statistics.originalClauses;
-    statistics.originalLiterals += literals.size();
     insertClause(std::vector<Lit>(literals.begin(), literals.end()));
-}
-
-void
-Simplifier::freeze(Var var)
-{
-    require(var >= 0 &&
-                static_cast<std::size_t>(var) < values.size(),
-            "freeze of unknown variable ", var);
-    frozen[var] = 1;
 }
 
 bool
@@ -259,260 +225,96 @@ Simplifier::strengthenClause(std::size_t index, Lit lit)
 }
 
 bool
-Simplifier::subsumptionPass(const SimplifierOptions &options)
+Simplifier::subsumptionPass()
 {
     while (!subsumptionQueue.empty()) {
         if (!propagateUnits())
             return false;
         if (subsumptionQueue.empty())
             break;
-        if (pollBudget())
-            break; // queued work stays queued, soundly undone
         const std::size_t index = subsumptionQueue.back();
         subsumptionQueue.pop_back();
         queued[index] = 0;
         if (clauses[index].removed)
             continue;
-        if (!options.subsumption && !options.selfSubsumption)
-            continue; // drain only
         const std::vector<Lit> lits = clauses[index].lits;
         const std::uint64_t signature = clauses[index].signature;
 
         // Scan the occurrence list of the rarest literal: every
         // clause containing all of `lits` must appear there.
-        if (options.subsumption) {
-            Lit best = lits[0];
-            for (const Lit lit : lits) {
-                if (occurrences[lit.code].size() <
-                    occurrences[best.code].size())
-                    best = lit;
+        Lit best = lits[0];
+        for (const Lit lit : lits) {
+            if (occurrences[lit.code].size() <
+                occurrences[best.code].size())
+                best = lit;
+        }
+        for (const std::size_t other : occurrences[best.code]) {
+            if (other == index || clauses[other].removed)
+                continue;
+            const auto &cand = clauses[other];
+            if (cand.lits.size() < lits.size() ||
+                (signature & ~cand.signature) != 0)
+                continue;
+            if (subsetWithFlip(lits, cand.lits, litUndef)) {
+                removeClauseAt(other);
+                ++statistics.subsumedClauses;
             }
-            for (const std::size_t other :
-                 occurrences[best.code]) {
+        }
+
+        // Self-subsuming resolution: D ⊇ (C \ {l}) ∪ {~l} lets the
+        // resolvent C⊗D replace D, i.e.\ ~l is removed from D.
+        for (const Lit lit : lits) {
+            if (clauses[index].removed)
+                break;
+            // detachLiteral edits this list, so walk a copy.
+            const std::vector<std::size_t> candidates =
+                occurrences[(~lit).code];
+            for (const std::size_t other : candidates) {
                 if (other == index || clauses[other].removed)
                     continue;
                 const auto &cand = clauses[other];
                 if (cand.lits.size() < lits.size() ||
                     (signature & ~cand.signature) != 0)
                     continue;
-                if (subsetWithFlip(lits, cand.lits, litUndef)) {
-                    removeClauseAt(other);
-                    ++statistics.subsumedClauses;
-                }
-            }
-        }
-
-        // Self-subsuming resolution: D ⊇ (C \ {l}) ∪ {~l} lets the
-        // resolvent C⊗D replace D, i.e.\ ~l is removed from D.
-        if (options.selfSubsumption) {
-            for (const Lit lit : lits) {
-                if (clauses[index].removed)
-                    break;
-                // detachLiteral edits this list, so walk a copy.
-                const std::vector<std::size_t> candidates =
-                    occurrences[(~lit).code];
-                for (const std::size_t other : candidates) {
-                    if (other == index || clauses[other].removed)
-                        continue;
-                    const auto &cand = clauses[other];
-                    if (cand.lits.size() < lits.size() ||
-                        (signature & ~cand.signature) != 0)
-                        continue;
-                    if (!subsetWithFlip(lits, cand.lits, lit))
-                        continue;
-                    if (!strengthenClause(other, ~lit))
-                        return false;
-                }
+                if (!subsetWithFlip(lits, cand.lits, lit))
+                    continue;
+                if (!strengthenClause(other, ~lit))
+                    return false;
             }
         }
     }
     return !contradiction;
 }
 
-bool
-Simplifier::resolve(const std::vector<Lit> &pos,
-                    const std::vector<Lit> &neg, Var var,
-                    std::vector<Lit> &out)
-{
-    // Merge the sorted operands, skipping the pivot literals;
-    // adjacent equal codes collapse, adjacent complementary codes
-    // make the resolvent a tautology.
-    out.clear();
-    std::size_t i = 0, j = 0;
-    while (i < pos.size() || j < neg.size()) {
-        Lit next;
-        if (j == neg.size() ||
-            (i < pos.size() && pos[i].code <= neg[j].code)) {
-            next = pos[i++];
-        } else {
-            next = neg[j++];
-        }
-        if (litVar(next) == var)
-            continue;
-        if (!out.empty()) {
-            if (out.back() == next)
-                continue;
-            if (out.back() == ~next)
-                return false; // tautology
-        }
-        out.push_back(next);
-    }
-    return true;
-}
-
-bool
-Simplifier::tryEliminate(Var var, const SimplifierOptions &options)
-{
-    if (frozen[var] || eliminated[var] ||
-        values[var] != LBool::Undef) {
-        return false;
-    }
-    const Lit lit = mkLit(var);
-    std::vector<std::size_t> pos, neg;
-    for (const std::size_t index : occurrences[lit.code]) {
-        if (!clauses[index].removed)
-            pos.push_back(index);
-    }
-    for (const std::size_t index : occurrences[(~lit).code]) {
-        if (!clauses[index].removed)
-            neg.push_back(index);
-    }
-    const std::size_t before = pos.size() + neg.size();
-    if (before > options.eliminationOccurrenceLimit)
-        return false;
-
-    // Bounded check: elimination may not grow the clause database
-    // nor create clauses longer than the configured limit.
-    std::vector<std::vector<Lit>> resolvents;
-    std::vector<Lit> resolvent;
-    for (const std::size_t p : pos) {
-        for (const std::size_t n : neg) {
-            if (!resolve(clauses[p].lits, clauses[n].lits, var,
-                         resolvent))
-                continue; // tautology
-            if (resolvent.empty() ||
-                resolvent.size() > options.eliminationClauseLimit)
-                return false;
-            resolvents.push_back(resolvent);
-            if (resolvents.size() > before)
-                return false;
-        }
-    }
-
-    // Commit. The positive-phase clauses become the witness: the
-    // reconstruction rule (Eén & Biere) sets `lit` true exactly
-    // when one of them is not satisfied by the other literals.
-    Witness witness;
-    witness.lit = lit;
-    for (const std::size_t p : pos)
-        witness.clauses.push_back(clauses[p].lits);
-    witnesses.push_back(std::move(witness));
-    for (const std::size_t index : pos)
-        removeClauseAt(index);
-    for (const std::size_t index : neg)
-        removeClauseAt(index);
-    occurrences[lit.code].clear();
-    occurrences[(~lit).code].clear();
-    eliminated[var] = 1;
-    ++statistics.eliminatedVariables;
-    for (auto &clause : resolvents) {
-        ++statistics.resolventsAdded;
-        if (!insertClause(std::move(clause)))
-            return true; // contradiction recorded
-    }
-    return true;
-}
-
-bool
-Simplifier::eliminationPass(const SimplifierOptions &options,
-                            bool &changed)
-{
-    // Cheap variables first: elimination order matters, and low
-    // occurrence counts are both the likeliest wins and the
-    // cheapest resolvent checks.
-    std::vector<std::pair<std::size_t, Var>> candidates;
-    auto live_count = [this](Lit lit) {
-        // Occurrence lists keep stale entries for removed clauses;
-        // counting them raw would both mis-order candidates and
-        // permanently skip variables pushed over the limit by
-        // clauses subsumption already deleted.
-        std::size_t count = 0;
-        for (const std::size_t index : occurrences[lit.code])
-            count += clauses[index].removed ? 0 : 1;
-        return count;
-    };
-    for (Var var = 0;
-         static_cast<std::size_t>(var) < values.size(); ++var) {
-        if (frozen[var] || eliminated[var] ||
-            values[var] != LBool::Undef)
-            continue;
-        const Lit lit = mkLit(var);
-        const std::size_t count =
-            live_count(lit) + live_count(~lit);
-        if (count <= options.eliminationOccurrenceLimit)
-            candidates.emplace_back(count, var);
-    }
-    std::sort(candidates.begin(), candidates.end());
-    for (const auto &[count, var] : candidates) {
-        if (!propagateUnits())
-            return false;
-        if (pollBudget())
-            break;
-        if (tryEliminate(var, options))
-            changed = true;
-        if (contradiction)
-            return false;
-    }
-    return true;
-}
-
 void
-Simplifier::run(const SimplifierOptions &options)
+Simplifier::run()
 {
     require(!ran, "Simplifier::run() may only be called once");
     ran = true;
+    // Propagation + subsumption rounds before settling.
+    constexpr std::size_t maxRounds = 2;
     telemetry::TraceSpan span("sat.simplify");
-    const Timer run_timer;
-    budgetSeconds = options.timeBudgetSeconds;
-    budgetStart = std::chrono::steady_clock::now();
-    budgetTick = 0;
-    for (std::size_t round = 0; round < options.maxRounds; ++round) {
-        if (overBudget())
-            break;
+    for (std::size_t round = 0; round < maxRounds; ++round) {
         if (!propagateUnits())
             break;
-        if (!subsumptionPass(options))
-            break;
-        bool changed = false;
-        if (options.variableElimination &&
-            !eliminationPass(options, changed))
+        if (!subsumptionPass())
             break;
         ++statistics.rounds;
-        if (!changed && subsumptionQueue.empty() &&
-            unitQueue.empty())
+        if (subsumptionQueue.empty() && unitQueue.empty())
             break;
     }
     if (!contradiction) {
         propagateUnits();
-        subsumptionPass(options);
+        subsumptionPass();
     }
 
-    statistics.seconds = run_timer.seconds();
     statistics.simplifiedClauses = 0;
-    statistics.simplifiedLiterals = 0;
     if (!contradiction) {
-        for (const auto &clause : clauses) {
-            if (clause.removed)
-                continue;
-            ++statistics.simplifiedClauses;
-            statistics.simplifiedLiterals += clause.lits.size();
-        }
-        for (const LBool value : values) {
-            if (value != LBool::Undef) {
-                ++statistics.simplifiedClauses;
-                ++statistics.simplifiedLiterals;
-            }
-        }
+        for (const auto &clause : clauses)
+            statistics.simplifiedClauses += clause.removed ? 0 : 1;
+        for (const LBool value : values)
+            statistics.simplifiedClauses +=
+                value != LBool::Undef ? 1 : 0;
     }
     if (span.active()) {
         span.arg("rounds", statistics.rounds);
@@ -520,8 +322,6 @@ Simplifier::run(const SimplifierOptions &options)
         span.arg("simplified_clauses",
                  statistics.simplifiedClauses);
         span.arg("subsumed", statistics.subsumedClauses);
-        span.arg("eliminated_vars",
-                 statistics.eliminatedVariables);
     }
 }
 
@@ -545,53 +345,6 @@ Simplifier::simplifiedClauses() const
             out.push_back(clause.lits);
     }
     return out;
-}
-
-bool
-Simplifier::isEliminated(Var var) const
-{
-    require(var >= 0 &&
-                static_cast<std::size_t>(var) < values.size(),
-            "isEliminated of unknown variable ", var);
-    return eliminated[var] != 0;
-}
-
-void
-Simplifier::reconstruct(std::vector<LBool> &model) const
-{
-    require(model.size() >= values.size(),
-            "reconstruct model too small: ", model.size(), " < ",
-            values.size());
-    for (std::size_t var = 0; var < values.size(); ++var) {
-        if (values[var] != LBool::Undef)
-            model[var] = values[var];
-    }
-    // Replay eliminations backwards: each witness clause list holds
-    // every clause that contained `lit` at elimination time, over
-    // variables that were either never eliminated or eliminated
-    // later (and therefore already reconstructed here).
-    for (auto it = witnesses.rbegin(); it != witnesses.rend();
-         ++it) {
-        bool need = false;
-        for (const auto &clause : it->clauses) {
-            bool satisfied_by_rest = false;
-            for (const Lit lit : clause) {
-                if (lit == it->lit)
-                    continue;
-                const LBool v = model[litVar(lit)];
-                if ((litSign(lit) ? -v : v) == LBool::True) {
-                    satisfied_by_rest = true;
-                    break;
-                }
-            }
-            if (!satisfied_by_rest) {
-                need = true;
-                break;
-            }
-        }
-        model[litVar(it->lit)] =
-            need ? LBool::True : LBool::False;
-    }
 }
 
 } // namespace fermihedral::sat

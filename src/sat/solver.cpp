@@ -516,19 +516,15 @@ Solver::enqueueFactAndPropagate(Lit lit)
 bool
 Solver::subsumptionPass()
 {
-    // Re-run the PR 3 simplifier over the problem clauses with
-    // variable elimination off: subsumption and self-subsuming
-    // resolution preserve logical equivalence, so the retained
-    // learnt clauses stay sound without witness reconstruction.
+    // Run the simplifier over the problem clauses: subsumption and
+    // self-subsuming resolution preserve logical equivalence, so
+    // the retained learnt clauses stay sound.
     Simplifier simplifier(numVars());
     for (const Lit lit : trail)
         simplifier.addClause({lit});
     for (const ClauseRef ref : problemClauses)
         simplifier.addClause(arena.clause(ref));
-    SimplifierOptions options;
-    options.variableElimination = false;
-    options.maxRounds = 2;
-    simplifier.run(options);
+    simplifier.run();
     statistics.inprocessSubsumed +=
         simplifier.stats().subsumedClauses;
     statistics.inprocessStrengthened +=

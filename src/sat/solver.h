@@ -27,7 +27,7 @@
  *    wants restart-from-scratch behaviour),
  *  - inprocessing between solves: subsumption / self-subsuming
  *    resolution of the problem clauses through the sat/preprocess
- *    Simplifier (variable elimination stays off so retained learnt
+ *    Simplifier (which eliminates no variable, so retained learnt
  *    clauses remain sound) and bounded clause vivification,
  *  - conflict/time budgets so descent steps can time out the same
  *    way the paper's setup bounds each SAT call,
@@ -182,11 +182,10 @@ class Solver final : public SolverBase
      * Inprocess the clause database between solve() calls:
      * top-level simplification, subsumption / self-subsuming
      * resolution of the problem clauses through the sat/preprocess
-     * Simplifier (variable elimination off: learnt clauses stay
-     * sound without witness reconstruction), vivification bounded
-     * by a propagation budget, and a garbage collection when enough
-     * waste accumulated. Returns false when simplification refuted
-     * the formula.
+     * Simplifier (no variable is eliminated, so learnt clauses stay
+     * sound), vivification bounded by a propagation budget, and a
+     * garbage collection when enough waste accumulated. Returns
+     * false when simplification refuted the formula.
      */
     bool inprocess();
 

@@ -6,8 +6,8 @@
  * need "create variables, add clauses, solve, read the model". This
  * interface names exactly that surface so the same constraint
  * construction can target either the plain CDCL engine
- * (sat/solver.h) or the preprocessing portfolio front-end
- * (sat/portfolio.h) without caring which it got.
+ * (sat/solver.h) or the portfolio front-end (sat/portfolio.h)
+ * without caring which it got.
  *
  * Key invariants:
  *  - Variables are dense 0-based indices; every literal passed to
@@ -18,12 +18,8 @@
  *    Unsat the formula (under the given assumptions) has no model;
  *    Unknown is returned only when the Budget expired (or an
  *    external stop was requested).
- *  - Clauses and variables may be added between solve() calls.
- *  - freeze() is a hint, never a behavioural requirement for
- *    correct callers: it marks a variable as part of the caller's
- *    interface (future clauses, assumptions or model reads), which
- *    preprocessing implementations must then not eliminate. The
- *    plain solver ignores it.
+ *  - Clauses and variables may be added between solve() calls,
+ *    and they, like assumptions, may mention any created variable.
  */
 
 #ifndef FERMIHEDRAL_SAT_SOLVER_BASE_H
@@ -159,14 +155,6 @@ class SolverBase
 
     /** Raise a variable's branching activity. */
     virtual void boostActivity(Var var, double amount) = 0;
-
-    /**
-     * Mark a variable as externally visible: the caller will read
-     * its model value, assume it, or mention it in clauses added
-     * after the first solve. Preprocessing must not eliminate it.
-     * The plain solver ignores the hint.
-     */
-    virtual void freeze(Var) {}
 
     /** True once the clause set is known unsatisfiable at level 0. */
     virtual bool inconsistent() const = 0;

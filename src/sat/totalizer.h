@@ -66,14 +66,6 @@ class Totalizer
     /** Number of input literals. */
     std::size_t size() const { return numInputs; }
 
-    /**
-     * The counter's output literals, lowest count first. These are
-     * the solver-visible interface of the counter: callers that
-     * bound incrementally after preprocessing must freeze() their
-     * variables so elimination keeps them addressable.
-     */
-    std::span<const Lit> outputLits() const { return outputs; }
-
   private:
     SolverBase &sat;
     std::size_t cap;

@@ -183,23 +183,6 @@ TEST(DescentSolver, PortfolioDeterministicAcrossThreadCounts)
     }
 }
 
-TEST(DescentSolver, PreprocessingPreservesResultAndShrinksInstance)
-{
-    DescentOptions with = fastOptions();
-    DescentOptions without = fastOptions();
-    without.preprocess = false;
-
-    const auto simplified = DescentSolver(2, with).solve();
-    const auto plain = DescentSolver(2, without).solve();
-    EXPECT_EQ(simplified.cost, plain.cost);
-    EXPECT_EQ(simplified.provedOptimal, plain.provedOptimal);
-    const auto &stats = simplified.satStats.simplifier;
-    EXPECT_GT(stats.eliminatedVariables, 0u);
-    EXPECT_LT(stats.simplifiedClauses, stats.originalClauses);
-    EXPECT_TRUE(
-        enc::validateEncoding(simplified.encoding).valid());
-}
-
 TEST(DescentSolver, RacingPortfolioFindsSameOptimum)
 {
     DescentOptions options = fastOptions();

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the portfolio SAT engine: SolverBase conformance,
- * preprocessing integration (model reconstruction over eliminated
- * variables, frozen incremental interfaces, skipping under
- * assumptions), diversification, racing with clause sharing and
- * cancellation, and the one-instance identity with a plain Solver.
+ * Tests for the portfolio SAT engine: SolverBase conformance
+ * (models over every variable, clauses, assumptions and variables
+ * after the first solve), diversification, racing with clause
+ * sharing and cancellation, and the one-instance identity with a
+ * plain Solver.
  */
 
 #include <gtest/gtest.h>
@@ -105,14 +105,12 @@ TEST(PortfolioSolver, UnsatIsDetectedThroughPreprocessing)
 
 TEST(PortfolioSolver, ModelCoversEliminatedVariables)
 {
-    // A Tseitin-style auxiliary (y <-> a AND b) is eliminated by
-    // preprocessing, yet its model value must read back correctly.
+    // The model covers every variable, a Tseitin-style auxiliary
+    // (y <-> a AND b) included.
     PortfolioSolver solver(withInstances(1, 1));
     const Var a = solver.newVar();
     const Var b = solver.newVar();
     const Var y = solver.newVar();
-    solver.freeze(a);
-    solver.freeze(b);
     solver.addClause({~mkLit(y), mkLit(a)});
     solver.addClause({~mkLit(y), mkLit(b)});
     solver.addClause({~mkLit(a), ~mkLit(b), mkLit(y)});
@@ -121,7 +119,7 @@ TEST(PortfolioSolver, ModelCoversEliminatedVariables)
     ASSERT_EQ(solver.solve(), SolveStatus::Sat);
     EXPECT_EQ(solver.modelValue(a), LBool::True);
     EXPECT_EQ(solver.modelValue(b), LBool::True);
-    // y is forced by a AND b whether or not it was eliminated.
+    // y is forced by a AND b.
     EXPECT_EQ(solver.modelValue(y), LBool::True);
 }
 
@@ -130,12 +128,10 @@ TEST(PortfolioSolver, FrozenVariablesAcceptLaterClauses)
     PortfolioSolver solver(withInstances(2, 1));
     const Var a = solver.newVar();
     const Var b = solver.newVar();
-    solver.freeze(a);
-    solver.freeze(b);
     solver.addClause({mkLit(a), mkLit(b)});
     ASSERT_EQ(solver.solve(), SolveStatus::Sat);
-    // Incremental tightening over frozen variables, as the
-    // descent loop does with totalizer outputs.
+    // Incremental tightening, as the descent loop does with
+    // totalizer outputs.
     solver.addClause({~mkLit(a)});
     ASSERT_EQ(solver.solve(), SolveStatus::Sat);
     EXPECT_EQ(solver.modelValue(b), LBool::True);
@@ -152,24 +148,48 @@ TEST(PortfolioSolver, AssumptionsOnFirstSolveSkipPreprocessing)
     const Lit assume[] = {~mkLit(a)};
     ASSERT_EQ(solver.solve(assume), SolveStatus::Sat);
     EXPECT_EQ(solver.modelValue(b), LBool::True);
-    // No simplification ran, so nothing was eliminated.
+    // Nothing is ever eliminated.
     EXPECT_EQ(solver.portfolioStats().simplifier.eliminatedVariables,
               0u);
     // Assumptions are not permanent.
     EXPECT_EQ(solver.solve(), SolveStatus::Sat);
 }
 
+TEST(PortfolioSolver, EveryVariableStaysUsableAfterTheFirstSolve)
+{
+    // y <-> (a AND b) plus {y, c}, with nothing marked: a solver
+    // that eliminated a variable at the first solve would reject
+    // the later assumption on c or the later clause on y.
+    PortfolioSolver solver(withInstances(1, 1));
+    const Lit a = mkLit(solver.newVar());
+    const Lit b = mkLit(solver.newVar());
+    const Lit y = mkLit(solver.newVar());
+    const Lit c = mkLit(solver.newVar());
+    solver.addClause({~y, a});
+    solver.addClause({~y, b});
+    solver.addClause({~a, ~b, y});
+    solver.addClause({y, c});
+    ASSERT_EQ(solver.solve(), SolveStatus::Sat);
+
+    const Lit not_c[] = {~c};
+    ASSERT_EQ(solver.solve(not_c), SolveStatus::Sat);
+    EXPECT_EQ(solver.modelValue(y), LBool::True);
+
+    solver.addClause({~y});
+    ASSERT_EQ(solver.solve(), SolveStatus::Sat);
+    EXPECT_EQ(solver.modelValue(c), LBool::True);
+    EXPECT_EQ(solver.solve(not_c), SolveStatus::Unsat);
+}
+
 TEST(PortfolioSolver, InstanceZeroMatchesPlainSolver)
 {
     // The portfolio's instance 0 runs the stock configuration, so
-    // a 1-instance no-preprocessing portfolio must agree with a
-    // plain Solver on status and model, call for call.
+    // a 1-instance portfolio must agree with a plain Solver on
+    // status and model, call for call.
     Rng rng(314);
     for (int round = 0; round < 10; ++round) {
         Solver plain;
-        PortfolioOptions options = withInstances(1, 1);
-        options.preprocess = false;
-        PortfolioSolver portfolio(options);
+        PortfolioSolver portfolio(withInstances(1, 1));
         Rng plain_rng = rng.fork(round);
         Rng portfolio_rng = rng.fork(round);
         const auto cnf_a = randomCnf(plain, 14, 58, plain_rng);
@@ -301,10 +321,9 @@ TEST(PortfolioSolver, ContradictoryUnitsReportConflictAtAddTime)
 TEST(PortfolioSolver, VariablesCreatedAfterFirstSolveAreUsable)
 {
     // The SolverBase contract: variables and clauses may be added
-    // between solve() calls, including after preprocessing ran.
+    // between solve() calls.
     PortfolioSolver solver(withInstances(2, 1));
     const Var a = solver.newVar();
-    solver.freeze(a);
     solver.addClause({mkLit(a)});
     ASSERT_EQ(solver.solve(), SolveStatus::Sat);
     const Var b = solver.newVar();

@@ -2,12 +2,12 @@
  * @file
  * Unit and property tests for the clause-database simplifier.
  *
- * The property suite runs random 3-SAT instances through
- * subsumption / self-subsuming resolution / bounded variable
- * elimination and checks (a) the SAT/UNSAT verdict agrees with the
- * unsimplified solver and (b) a model of the simplified formula,
- * extended by witness reconstruction, satisfies every original
- * clause — the contract EncodingModel::decode() depends on.
+ * The property suite runs random 3-SAT instances through unit
+ * propagation / subsumption / self-subsuming resolution and checks
+ * (a) the SAT/UNSAT verdict agrees with the unsimplified solver and
+ * (b) a model of the simplified formula, as the solver returns it,
+ * satisfies every original clause: the simplifier eliminates no
+ * variable, so no model needs extending.
  */
 
 #include <gtest/gtest.h>
@@ -46,9 +46,6 @@ TEST(Simplifier, SubsumedClauseIsRemoved)
     const Lit a = mkLit(0), b = mkLit(1), c = mkLit(2);
     simp.addClause({a, b});
     simp.addClause({a, b, c}); // subsumed by {a, b}
-    simp.freeze(0);
-    simp.freeze(1);
-    simp.freeze(2);
     simp.run();
     EXPECT_EQ(simp.stats().subsumedClauses, 1u);
     EXPECT_EQ(simp.simplifiedClauses().size(), 1u);
@@ -62,68 +59,12 @@ TEST(Simplifier, SelfSubsumingResolutionStrengthens)
     const Lit a = mkLit(0), b = mkLit(1), c = mkLit(2);
     simp.addClause({a, b});
     simp.addClause({~a, b, c});
-    for (Var v = 0; v < 3; ++v)
-        simp.freeze(v);
-    SimplifierOptions options;
-    options.variableElimination = false;
-    simp.run(options);
+    simp.run();
     EXPECT_EQ(simp.stats().strengthenedLiterals, 1u);
     const auto clauses = simp.simplifiedClauses();
     ASSERT_EQ(clauses.size(), 2u);
     for (const auto &clause : clauses)
         EXPECT_LE(clause.size(), 2u);
-}
-
-TEST(Simplifier, EliminatesTseitinAuxiliary)
-{
-    // y <-> a AND b, plus {y, c}: y is a classic BVE victim.
-    Simplifier simp(4);
-    const Lit a = mkLit(0), b = mkLit(1), y = mkLit(2),
-              c = mkLit(3);
-    simp.addClause({~y, a});
-    simp.addClause({~y, b});
-    simp.addClause({~a, ~b, y});
-    simp.addClause({y, c});
-    simp.freeze(0);
-    simp.freeze(1);
-    simp.freeze(3);
-    simp.run();
-    EXPECT_TRUE(simp.isEliminated(2));
-    EXPECT_FALSE(simp.isEliminated(0));
-    EXPECT_GE(simp.stats().eliminatedVariables, 1u);
-
-    // A model over the survivors must reconstruct y correctly:
-    // with a=1, b=1, c=0 the witness clause {y, c} is not
-    // satisfied without y, so reconstruction must set y=1 (which
-    // also satisfies y <-> a AND b).
-    std::vector<LBool> model(4, LBool::Undef);
-    model[0] = LBool::True;
-    model[1] = LBool::True;
-    model[3] = LBool::False;
-    simp.reconstruct(model);
-    EXPECT_EQ(model[2], LBool::True);
-}
-
-TEST(Simplifier, PureLiteralIsEliminated)
-{
-    Simplifier simp(3);
-    const Lit a = mkLit(0), b = mkLit(1), c = mkLit(2);
-    simp.addClause({a, b});
-    simp.addClause({a, c});
-    simp.freeze(1);
-    simp.freeze(2);
-    simp.run();
-    // `a` only occurs positively: pure, eliminated with zero
-    // resolvents, and both clauses disappear.
-    EXPECT_TRUE(simp.isEliminated(0));
-    EXPECT_EQ(simp.simplifiedClauses().size(), 0u);
-    // With b and c false, only a=true satisfies the originals;
-    // reconstruction must pick it.
-    std::vector<LBool> model(3, LBool::Undef);
-    model[1] = LBool::False;
-    model[2] = LBool::False;
-    simp.reconstruct(model);
-    EXPECT_EQ(model[0], LBool::True);
 }
 
 TEST(Simplifier, ComplementaryPairCollapsesToUnit)
@@ -134,28 +75,11 @@ TEST(Simplifier, ComplementaryPairCollapsesToUnit)
     const Lit a = mkLit(0), b = mkLit(1);
     simp.addClause({a, b});
     simp.addClause({a, ~b});
-    simp.freeze(0);
-    simp.freeze(1);
     simp.run();
-    EXPECT_FALSE(simp.isEliminated(0));
     const auto clauses = simp.simplifiedClauses();
     ASSERT_EQ(clauses.size(), 1u);
     ASSERT_EQ(clauses[0].size(), 1u);
     EXPECT_EQ(clauses[0][0], a);
-}
-
-TEST(Simplifier, FrozenVariablesSurvive)
-{
-    Simplifier simp(4);
-    const Lit a = mkLit(0), b = mkLit(1), y = mkLit(2);
-    simp.addClause({~y, a});
-    simp.addClause({~y, b});
-    simp.addClause({~a, ~b, y});
-    for (Var v = 0; v < 4; ++v)
-        simp.freeze(v);
-    simp.run();
-    for (Var v = 0; v < 4; ++v)
-        EXPECT_FALSE(simp.isEliminated(v)) << "var " << v;
 }
 
 TEST(Simplifier, TopLevelUnitsFixAndReemit)
@@ -165,8 +89,6 @@ TEST(Simplifier, TopLevelUnitsFixAndReemit)
     simp.addClause({a});
     simp.addClause({~a, b});
     simp.addClause({~b, c});
-    for (Var v = 0; v < 3; ++v)
-        simp.freeze(v);
     simp.run();
     EXPECT_FALSE(simp.inconsistent());
     EXPECT_EQ(simp.stats().fixedVariables, 3u);
@@ -193,7 +115,6 @@ struct PreprocessParam
 {
     int numVars;
     int ratioTimes10;
-    bool withFrozen;
 };
 
 class SimplifierProperty
@@ -204,8 +125,7 @@ class SimplifierProperty
 TEST_P(SimplifierProperty, EquivalentToUnsimplifiedSolve)
 {
     const auto param = GetParam();
-    Rng rng(4200 + param.numVars * 100 + param.ratioTimes10 +
-            (param.withFrozen ? 7 : 0));
+    Rng rng(4200 + param.numVars * 100 + param.ratioTimes10);
     const int num_clauses =
         param.numVars * param.ratioTimes10 / 10;
 
@@ -229,17 +149,10 @@ TEST_P(SimplifierProperty, EquivalentToUnsimplifiedSolve)
             reference.addClause(clause);
         const SolveStatus expected = reference.solve();
 
-        // Simplify, solve the simplified formula, reconstruct.
+        // Simplify, then solve the simplified formula.
         Simplifier simp(param.numVars);
         for (const auto &clause : cnf)
             simp.addClause(clause);
-        if (param.withFrozen) {
-            // Freeze a random half of the variables.
-            for (int v = 0; v < param.numVars; ++v) {
-                if (rng.nextBool())
-                    simp.freeze(v);
-            }
-        }
         simp.run();
 
         if (simp.inconsistent()) {
@@ -262,24 +175,23 @@ TEST_P(SimplifierProperty, EquivalentToUnsimplifiedSolve)
             std::vector<LBool> model(param.numVars);
             for (int v = 0; v < param.numVars; ++v)
                 model[v] = solver.modelValue(v);
-            simp.reconstruct(model);
             EXPECT_TRUE(modelSatisfies(cnf, model))
                 << "instance " << instance
-                << ": reconstructed model violates the original "
-                   "formula";
+                << ": the simplified formula's model violates the "
+                   "original formula";
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Instances, SimplifierProperty,
-    ::testing::Values(PreprocessParam{8, 30, false},
-                      PreprocessParam{8, 43, true},
-                      PreprocessParam{12, 40, false},
-                      PreprocessParam{12, 45, true},
-                      PreprocessParam{16, 43, false},
-                      PreprocessParam{16, 50, true},
-                      PreprocessParam{20, 42, true}));
+    ::testing::Values(PreprocessParam{8, 30},
+                      PreprocessParam{8, 43},
+                      PreprocessParam{12, 40},
+                      PreprocessParam{12, 45},
+                      PreprocessParam{16, 43},
+                      PreprocessParam{16, 50},
+                      PreprocessParam{20, 42}));
 
 } // namespace
 } // namespace fermihedral::sat

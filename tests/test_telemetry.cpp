@@ -24,7 +24,9 @@
 // Counting allocator: replaces the global operator new so the
 // zero-allocation regression below can assert that disabled
 // telemetry never touches the heap. Counting only — behaviour is
-// unchanged for the rest of the binary.
+// unchanged for the rest of the binary. The nothrow overloads are
+// replaced too (std::stable_sort's temporary buffer uses them), so
+// every allocation the replaced deletes free came from malloc.
 // --------------------------------------------------------------------
 
 namespace {
@@ -49,6 +51,20 @@ operator new[](std::size_t size)
     throw std::bad_alloc();
 }
 
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    allocationCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    allocationCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
 void operator delete(void *ptr) noexcept { std::free(ptr); }
 void operator delete(void *ptr, std::size_t) noexcept
 {
@@ -56,6 +72,14 @@ void operator delete(void *ptr, std::size_t) noexcept
 }
 void operator delete[](void *ptr) noexcept { std::free(ptr); }
 void operator delete[](void *ptr, std::size_t) noexcept
+{
+    std::free(ptr);
+}
+void operator delete(void *ptr, const std::nothrow_t &) noexcept
+{
+    std::free(ptr);
+}
+void operator delete[](void *ptr, const std::nothrow_t &) noexcept
 {
     std::free(ptr);
 }
