@@ -39,7 +39,6 @@ struct EngineFlags
     const std::int64_t *instances = nullptr;
     const bool *racing = nullptr;
     const bool *carry = nullptr;
-    const bool *inprocess = nullptr;
     const double *deadlineSeconds = nullptr;
     hw::TopologyFlags topology;
 
@@ -64,9 +63,6 @@ struct EngineFlags
             "carry", true,
             "keep learnt clauses across descent steps "
             "(=false clears them after every SAT call)");
-        engine.inprocess = flags.addBool(
-            "inprocess", true,
-            "subsumption + vivification between descent steps");
         engine.deadlineSeconds = flags.addDouble(
             "deadline-seconds", 0.0,
             "wall-clock deadline per compilation (<= 0 = none); "
@@ -88,7 +84,6 @@ struct EngineFlags
             *instances < 0 ? 0 : *instances);
         options.deterministic = !*racing;
         options.carryLearnts = *carry;
-        options.inprocess = *inprocess;
         return options;
     }
 

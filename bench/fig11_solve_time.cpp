@@ -9,7 +9,7 @@
  * On top of the paper's figure this binary exposes the SAT engine:
  * --threads/--instances/--racing select the portfolio
  * configuration, a second table reports per-run solver statistics
- * (propagations, conflicts, learnt literals, inprocessing), and
+ * (propagations, conflicts, learnt literals, collections), and
  * --json dumps everything as a machine-readable artifact for CI
  * trend tracking.
  */
@@ -96,11 +96,6 @@ appendRunJson(std::string &json, const char *label,
         .member("shared_out", s.aggregate.sharedOut)
         .member("gc_runs", s.aggregate.garbageCollects)
         .member("reclaimed_words", s.aggregate.reclaimedWords)
-        .member("inprocessings", s.aggregate.inprocessings)
-        .member("inprocess_subsumed",
-                s.aggregate.inprocessSubsumed)
-        .member("vivified_clauses", s.aggregate.vivifiedClauses)
-        .member("vivified_literals", s.aggregate.vivifiedLiterals)
         .member("cleared_learnts", s.aggregate.clearedLearnts)
         .member("last_winner", s.lastWinner)
         .endObject();
@@ -137,8 +132,8 @@ main(int argc, char **argv)
                  "Speedup", "Solve w/ (s)", "Solve w/o (s)",
                  "Speedup", "Same cost?"});
     Table stats({"Modes", "Config", "Props", "Conflicts",
-                 "Learnt lits", "GCs", "Inproc", "Viv lits",
-                 "SAT calls", "Cost@walltime"});
+                 "Learnt lits", "GCs", "SAT calls",
+                 "Cost@walltime"});
 
     // Discarded warmup: the first descent of the process pays the
     // allocator and page-fault costs, which at N=2/3 are the same
@@ -174,10 +169,6 @@ main(int argc, char **argv)
                      s.aggregate.learntLiterals)),
                  Table::num(std::int64_t(
                      s.aggregate.garbageCollects)),
-                 Table::num(std::int64_t(
-                     s.aggregate.inprocessings)),
-                 Table::num(std::int64_t(
-                     s.aggregate.vivifiedLiterals)),
                  Table::num(std::int64_t(m->result.satCalls)),
                  trajectoryString(m->result)});
         }
@@ -200,12 +191,11 @@ main(int argc, char **argv)
             ? static_cast<std::size_t>(*engine.instances)
             : resolved_threads;
     std::printf("Engine: %zu instance(s) on %zu thread(s), %s, "
-                "carry-over %s, inprocessing %s.\n",
+                "carry-over %s.\n",
                 resolved_instances,
                 std::min(resolved_threads, resolved_instances),
                 *engine.racing ? "racing" : "deterministic",
-                *engine.carry ? "on" : "off",
-                *engine.inprocess ? "on" : "off");
+                *engine.carry ? "on" : "off");
 
     json += "\n]\n";
     if (!json_path->empty()) {

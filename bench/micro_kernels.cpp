@@ -13,13 +13,10 @@
 #include "common/rng.h"
 #include "core/annealing.h"
 #include "core/descent_solver.h"
-#include "core/encoding_model.h"
 #include "encodings/encoding.h"
 #include "encodings/linear.h"
 #include "fermion/models.h"
-#include "sat/dimacs.h"
 #include "sat/portfolio.h"
-#include "sat/preprocess.h"
 #include "sat/solver.h"
 #include "sat/totalizer.h"
 #include "sim/exact.h"
@@ -362,43 +359,6 @@ BENCHMARK(BM_PortfolioSolveRandom3Sat)
     ->Arg(2)
     ->Arg(4)
     ->UseRealTime();
-
-/** The N=4 encoding instance as a snapshot CNF, built once. */
-const sat::Cnf &
-encodingCnf()
-{
-    static const sat::Cnf cnf = [] {
-        sat::Solver solver;
-        core::EncodingModelOptions options;
-        options.modes = 4;
-        options.costCap =
-            enc::bravyiKitaev(4).totalWeight();
-        core::EncodingModel model(solver, options);
-        return sat::snapshotCnf(solver);
-    }();
-    return cnf;
-}
-
-void
-BM_SimplifyEncodingInstance(benchmark::State &state)
-{
-    // One simplifier run (subsumption + self-subsuming resolution,
-    // as inprocessing does) over the N=4 full-SAT encoding instance.
-    const sat::Cnf &cnf = encodingCnf();
-    std::size_t subsumed = 0;
-    for (auto _ : state) {
-        sat::Simplifier simp(cnf.numVars);
-        for (const auto &clause : cnf.clauses)
-            simp.addClause(clause);
-        simp.run();
-        subsumed = simp.stats().subsumedClauses;
-        benchmark::DoNotOptimize(subsumed);
-    }
-    state.counters["subsumed"] = static_cast<double>(subsumed);
-    state.counters["clauses"] =
-        static_cast<double>(cnf.clauses.size());
-}
-BENCHMARK(BM_SimplifyEncodingInstance);
 
 void
 BM_DescentSolve(benchmark::State &state)

@@ -56,7 +56,9 @@ main(int argc, char **argv)
     FlagSet flags("Table 3: SAT instance sizes w/ and w/o "
                   "algebraic independence.");
     const auto *max_with = flags.addInt(
-        "max-with", 7, "largest N for the 'with' instances");
+        "max-with", 7,
+        "largest N for the 'with' instances (at most 8: the "
+        "independence family is fatal beyond 8 modes)");
     const auto *max_without = flags.addInt(
         "max-without", 18, "largest N for the 'without' instances");
     const auto tflags = telemetry::TelemetryFlags::add(flags);

@@ -6,13 +6,12 @@
  * trace_event JSON (loadable in Perfetto / chrome://tracing).
  *
  * Every layer of the stack reports through this one surface: the
- * CDCL solver and portfolio (conflicts, propagations, GC and
- * inprocessing spans, per-instance race timelines), the descent
- * loop (one span per totalizer bound), the simplifier, the
- * CompilerService (queue depth, latency percentiles, cache
- * counters) and the trajectory simulator. The --metrics-json and
- * --trace flags on the bench/example binaries (see
- * common/telemetry_flags.h) serialize it at exit.
+ * CDCL solver and portfolio (conflicts, propagations, GC spans,
+ * per-instance race timelines), the descent loop (one span per
+ * totalizer bound), the CompilerService (queue depth, latency
+ * percentiles, cache counters) and the trajectory simulator. The
+ * --metrics-json and --trace flags on the bench/example binaries
+ * (see common/telemetry_flags.h) serialize it at exit.
  *
  * Key invariants:
  *  - The hot path is lock-free: Counter::add, Gauge::set and

@@ -8,16 +8,6 @@
 
 namespace fermihedral::core {
 
-namespace {
-
-/** Inprocess after every this-many SAT steps. */
-constexpr std::size_t inprocessInterval = 3;
-
-/** Conflicts since the last inprocessing before the next may run. */
-constexpr std::size_t inprocessMinConflicts = 2000;
-
-} // namespace
-
 DescentSolver::DescentSolver(std::size_t modes,
                              const DescentOptions &options)
     : modes(modes), options(options)
@@ -40,27 +30,6 @@ DescentSolver::makeSolver() const
     portfolio.instances =
         options.deterministic ? 1 : options.portfolioInstances;
     return std::make_unique<sat::PortfolioSolver>(portfolio);
-}
-
-void
-DescentSolver::afterStep(std::size_t sat_calls)
-{
-    // Carry-over is the default: the bound only tightens, so every
-    // learnt clause stays sound. Dropping them here isolates each
-    // step (the measurement baseline, and a debugging aid).
-    if (!options.carryLearnts)
-        solver->clearLearnts();
-    if (options.inprocess && sat_calls % inprocessInterval == 0) {
-        // Difficulty gate: maintenance is only worth its wall-clock
-        // once the steps actually produce conflict-driven clauses.
-        const std::size_t conflicts =
-            solver->portfolioStats().aggregate.conflicts;
-        if (conflicts - inprocessedConflicts >=
-            inprocessMinConflicts) {
-            solver->inprocess();
-            inprocessedConflicts = conflicts;
-        }
-    }
 }
 
 std::size_t
@@ -145,7 +114,6 @@ DescentSolver::solve()
 
     Timer construct_timer;
     solver = makeSolver();
-    inprocessedConflicts = 0;
     EncodingModelOptions model_options;
     model_options.modes = modes;
     model_options.algebraicIndependence =
@@ -209,7 +177,12 @@ DescentSolver::solve()
             best = cost;
             result.trajectory.emplace_back(cost,
                                            total_timer.seconds());
-            afterStep(result.satCalls);
+            // Carry-over is the default: the bound only tightens, so
+            // every learnt clause stays sound. Dropping them here
+            // isolates each step (the measurement baseline, and a
+            // debugging aid).
+            if (!options.carryLearnts)
+                solver->clearLearnts();
         } else if (status == sat::SolveStatus::Unsat) {
             result.provedOptimal = true;
             stop = true;
@@ -283,7 +256,6 @@ DescentSolver::enumerateOptimal(std::size_t count,
     // instead rebuild once at the optimal bound).
     Timer timer;
     solver = makeSolver();
-    inprocessedConflicts = 0;
     EncodingModelOptions model_options;
     model_options.modes = modes;
     model_options.algebraicIndependence =

@@ -138,17 +138,8 @@ struct EngineOptions
     bool carryLearnts = true;
 
     /**
-     * Inprocess the clause databases between descent steps
-     * (subsumption + vivification, Solver::inprocess): each
-     * permanent bound unit lets the simplifier strip satisfied
-     * clauses and shorten the totalizer ladder before the next,
-     * harder SAT call. It runs every `inprocessInterval` SAT
-     * steps, and only once `inprocessMinConflicts` conflicts
-     * accumulated since the last run (both fixed in
-     * descent_solver.cpp): early steps are often solved almost
-     * purely by propagation, and maintenance over a database that
-     * produced no learnt clauses is pure overhead on the
-     * time-to-best clock.
+     * Read by nothing: perfbench's cold_ladder still assigns it,
+     * and ROADMAP item 8(f) drops it there and here.
      */
     bool inprocess = true;
 };
@@ -237,8 +228,8 @@ struct DescentResult
 
     /**
      * SAT-engine counters for the whole run: per-instance search
-     * work (propagations/conflicts/learnt literals, inprocessing
-     * effect) and portfolio arbitration outcomes.
+     * work (propagations/conflicts/learnt literals, garbage
+     * collection, carry-over resets) and portfolio race outcomes.
      */
     sat::PortfolioStats satStats;
 };
@@ -275,13 +266,7 @@ class DescentSolver
     std::unique_ptr<EncodingModel> model;
     std::optional<DescentResult> lastResult;
 
-    /** Conflict count at the last inprocessing run (gate state). */
-    std::size_t inprocessedConflicts = 0;
-
     std::unique_ptr<sat::PortfolioSolver> makeSolver() const;
-
-    /** Carry-over / inprocessing maintenance after a SAT step. */
-    void afterStep(std::size_t sat_calls);
 
     std::size_t baselineCost(const enc::FermionEncoding &bk) const;
 };

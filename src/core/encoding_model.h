@@ -59,7 +59,10 @@ struct EncodingModelOptions
     /** Number of Fermionic modes N (and qubits). */
     std::size_t modes = 0;
 
-    /** Emit the power-set algebraic independence clauses. */
+    /**
+     * Emit the power-set algebraic independence clauses: 4^N of
+     * them, so the model is fatal beyond 8 modes with this on.
+     */
     bool algebraicIndependence = true;
 
     /** Emit the X/Y-pair vacuum preservation clauses. */

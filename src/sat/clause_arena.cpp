@@ -37,16 +37,6 @@ ClauseArena::activity(ClauseRef ref, float value)
 }
 
 void
-ClauseArena::shrink(ClauseRef ref, std::uint32_t new_size)
-{
-    const std::uint32_t old_size = size(ref);
-    require(new_size >= 1 && new_size <= old_size,
-            "shrink to invalid size ", new_size);
-    wastedWords += old_size - new_size;
-    words[ref] = (new_size << 2) | (words[ref] & 3);
-}
-
-void
 ClauseArena::free(ClauseRef ref)
 {
     wastedWords += size(ref) + headerWords;

@@ -14,21 +14,18 @@
  *   word 2: LBD ("glue") for learnt clauses
  *   word 3...: literal codes
  *
- * Clauses shrink in place (strengthening, vivification) and are
- * freed by marking; the freed words are counted as waste. When the
- * waste crosses a threshold the owner runs a copying collection:
- * every live clause is relocated into a fresh arena and the old
- * header becomes a forwarding record, so the owner can rewrite every
- * stored ClauseRef (clause lists, watcher lists, reason slots) by a
- * single forward() lookup.
+ * A clause never changes size; it is freed by marking, and the
+ * freed words are counted as waste. When the waste crosses a
+ * threshold the owner runs a copying collection: every live clause
+ * is relocated into a fresh arena and the old header becomes a
+ * forwarding record, so the owner can rewrite every stored
+ * ClauseRef (clause lists, watcher lists, reason slots) by a single
+ * forward() lookup.
  *
  * Key invariants:
  *  - A ClauseRef returned by alloc() stays valid — same literals,
  *    same metadata — until free() or the relocation that retires
  *    the arena generation; refs never escape the owning solver.
- *  - shrink() only shortens: freed literal words are accounted as
- *    waste but the header offset is unchanged, so watcher lists
- *    remain valid as long as the first two literals are kept.
  *  - After relocate(), isRelocated(old_ref) is true and
  *    forward(old_ref) names the copy in the destination arena;
  *    metadata and literal order are preserved exactly.
@@ -98,9 +95,6 @@ class ClauseArena
         words[ref + 2] = value;
     }
 
-    /** Shorten a clause in place; freed words become waste. */
-    void shrink(ClauseRef ref, std::uint32_t new_size);
-
     /** Retire a clause; its words become waste. */
     void free(ClauseRef ref);
 
@@ -124,7 +118,7 @@ class ClauseArena
     /** Total words allocated. */
     std::size_t size() const { return words.size(); }
 
-    /** Words retired by shrink()/free(). */
+    /** Words retired by free(). */
     std::size_t wasted() const { return wastedWords; }
 
     /** True when `ref` points at a plausible clause header. */

@@ -15,13 +15,13 @@
  *  - parseDimacs() rejects clauses containing a duplicate or
  *    contradictory (x and NOT x) literal outright: such clauses
  *    are invariably generator bugs, and catching them at the
- *    parser keeps them out of the solver and the simplifier.
+ *    parser keeps them out of the solver.
  *  - snapshotCnf() exports only problem clauses and top-level
  *    facts, never learnt clauses: the result is logically
  *    equivalent to the solver's addClause() stream (duplicate,
- *    tautological and satisfied clauses may be dropped and clauses
- *    may be shrunk by inprocessing) and is stable across learnt-DB
- *    reduction, clearLearnts() and arena garbage collection.
+ *    tautological and satisfied clauses and false literals may be
+ *    dropped) and is stable across learnt-DB reduction,
+ *    clearLearnts() and arena garbage collection.
  */
 
 #ifndef FERMIHEDRAL_SAT_DIMACS_H

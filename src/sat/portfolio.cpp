@@ -301,19 +301,6 @@ PortfolioSolver::build()
     built = true;
 }
 
-bool
-PortfolioSolver::inprocess()
-{
-    if (!built || stagedUnsat)
-        return !inconsistent();
-    // Each instance inprocesses its own database, so the passes
-    // fan out over the pool independently.
-    telemetry::TraceSpan span("portfolio.inprocess");
-    pool->forEach(instanceCount,
-                  [&](std::size_t i) { instances[i]->inprocess(); });
-    return !inconsistent();
-}
-
 void
 PortfolioSolver::clearLearnts()
 {

@@ -168,14 +168,6 @@ class PortfolioSolver final : public SolverBase
                       const Budget &budget = {}) override;
 
     /**
-     * Inprocess every instance's clause database between solve()
-     * calls (Solver::inprocess). Returns false when any instance
-     * refuted the formula. Runs in parallel over the pool; each
-     * instance's pass depends only on its own state.
-     */
-    bool inprocess();
-
-    /**
      * Drop every instance's learnt clauses (Solver::clearLearnts):
      * the carry-over reset used to measure what incremental reuse
      * buys across the descent's bound-tightening steps.

@@ -7,7 +7,6 @@
 #include "common/telemetry.h"
 #include "common/timer.h"
 #include "sat/portfolio.h"
-#include "sat/preprocess.h"
 
 namespace fermihedral::sat {
 
@@ -482,7 +481,7 @@ Solver::garbageCollect()
 }
 
 // --------------------------------------------------------------------
-// Inprocessing
+// Carry-over reset
 // --------------------------------------------------------------------
 
 void
@@ -490,170 +489,11 @@ Solver::detachLevelZeroReasons()
 {
     // Top-level assignments are facts: nothing ever dereferences
     // their reasons again (conflict analysis stops at level 0), so
-    // dropping them unlocks the clauses for removal, vivification
-    // and collection.
+    // dropping them unlocks the clauses for removal and collection.
     require(decisionLevel() == 0,
             "level-0 reasons can only be dropped between solves");
     for (const Lit lit : trail)
         varReason[litVar(lit)] = crefUndef;
-}
-
-bool
-Solver::enqueueFactAndPropagate(Lit lit)
-{
-    if (value(lit) == LBool::True)
-        return true;
-    if (value(lit) == LBool::False) {
-        ok = false;
-        return false;
-    }
-    uncheckedEnqueue(lit, crefUndef);
-    if (propagate() != crefUndef)
-        ok = false;
-    return ok;
-}
-
-bool
-Solver::subsumptionPass()
-{
-    // Run the simplifier over the problem clauses: subsumption and
-    // self-subsuming resolution preserve logical equivalence, so
-    // the retained learnt clauses stay sound.
-    Simplifier simplifier(numVars());
-    for (const Lit lit : trail)
-        simplifier.addClause({lit});
-    for (const ClauseRef ref : problemClauses)
-        simplifier.addClause(arena.clause(ref));
-    simplifier.run();
-    statistics.inprocessSubsumed +=
-        simplifier.stats().subsumedClauses;
-    statistics.inprocessStrengthened +=
-        simplifier.stats().strengthenedLiterals;
-    if (simplifier.inconsistent()) {
-        ok = false;
-        return false;
-    }
-    // Rebuild the problem database from the simplified clause list;
-    // derived units enter the trail through the normal addClause
-    // path.
-    for (const ClauseRef ref : problemClauses) {
-        detachClause(ref);
-        arena.free(ref);
-    }
-    problemClauses.clear();
-    for (const auto &clause : simplifier.simplifiedClauses()) {
-        if (!addClause(clause))
-            return false;
-    }
-    return true;
-}
-
-bool
-Solver::vivifyPass()
-{
-    // Propagation budget of one pass, and the shortest clause worth
-    // vivifying.
-    constexpr std::uint64_t vivifyPropagationLimit = 500000;
-    constexpr std::uint32_t vivifyMinSize = 3;
-    const std::uint64_t start = statistics.propagations;
-    std::vector<Lit> kept;
-    std::vector<Lit> original;
-    // Iterate a snapshot: shrink-to-unit removes entries from the
-    // live list. Refs stay valid (no collection inside the loop).
-    const std::vector<ClauseRef> todo = problemClauses;
-    for (const ClauseRef ref : todo) {
-        if (statistics.propagations - start > vivifyPropagationLimit)
-            break;
-        if (arena.size(ref) < vivifyMinSize ||
-            clauseLocked(ref))
-            continue;
-
-        original.assign(arena.lits(ref),
-                        arena.lits(ref) + arena.size(ref));
-        detachClause(ref);
-        kept.clear();
-        // Assume the negation of each literal in turn. A literal
-        // already true closes the clause (the prefix implies it); a
-        // false one is redundant; a propagation conflict proves the
-        // kept prefix alone is implied.
-        for (const Lit lit : original) {
-            const LBool val = value(lit);
-            if (val == LBool::True) {
-                kept.push_back(lit);
-                break;
-            }
-            if (val == LBool::False)
-                continue;
-            kept.push_back(lit);
-            newDecisionLevel();
-            uncheckedEnqueue(~lit, crefUndef);
-            if (propagate() != crefUndef)
-                break;
-        }
-        cancelUntil(0);
-
-        if (kept.size() == original.size()) {
-            attachClause(ref);
-            continue;
-        }
-        ++statistics.vivifiedClauses;
-        statistics.vivifiedLiterals +=
-            original.size() - kept.size();
-        if (kept.empty()) {
-            // Every literal was false at the top level.
-            std::erase(problemClauses, ref);
-            arena.free(ref);
-            ok = false;
-            return false;
-        }
-        if (kept.size() == 1) {
-            std::erase(problemClauses, ref);
-            arena.free(ref);
-            if (!enqueueFactAndPropagate(kept[0]))
-                return false;
-            continue;
-        }
-        std::copy(kept.begin(), kept.end(), arena.lits(ref));
-        arena.shrink(ref,
-                     static_cast<std::uint32_t>(kept.size()));
-        attachClause(ref);
-    }
-    return true;
-}
-
-bool
-Solver::inprocess()
-{
-    require(decisionLevel() == 0,
-            "inprocess may only run between solve() calls");
-    if (!ok)
-        return false;
-    if (propagate() != crefUndef) {
-        ok = false;
-        return false;
-    }
-    ++statistics.inprocessings;
-    telemetry::TraceSpan span("sat.inprocess");
-    const std::uint64_t subsumed_before = statistics.inprocessSubsumed;
-    const std::uint64_t vivified_before = statistics.vivifiedClauses;
-    detachLevelZeroReasons();
-    if (!subsumptionPass()) {
-        maybeCheck();
-        return false;
-    }
-    if (!vivifyPass()) {
-        maybeCheck();
-        return false;
-    }
-    garbageCollectIfNeeded();
-    maybeCheck();
-    if (span.active()) {
-        span.arg("subsumed",
-                 statistics.inprocessSubsumed - subsumed_before);
-        span.arg("vivified",
-                 statistics.vivifiedClauses - vivified_before);
-    }
-    return ok;
 }
 
 void
@@ -824,8 +664,8 @@ Solver::problemClausesSnapshot() const
         out.push_back({~pin});
         return out;
     }
-    // Top-level facts first (caller units and inprocessing
-    // derivations), then the stored problem clauses — and only
+    // Top-level facts first (caller units and the facts derived
+    // at level 0), then the stored problem clauses — and only
     // those: learnt clauses are implied, not part of the instance.
     const std::size_t level0 =
         trailLim.empty() ? trail.size() : trailLim[0];

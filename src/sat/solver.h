@@ -8,8 +8,8 @@
  *
  *  - clause storage in a bump-allocated arena (sat/clause_arena.h):
  *    32-bit clause refs, metadata inlined ahead of the literals,
- *    in-place shrinking, and copying garbage collection when the
- *    learnt-database reduction has retired enough words,
+ *    and copying garbage collection when the learnt-database
+ *    reduction has retired enough words,
  *  - two-watched-literal propagation with blocker literals, and
  *    dedicated binary watch lists whose watchers carry the implied
  *    literal inline so binary chains never touch the arena,
@@ -25,10 +25,6 @@
  *    clauses, phases and activities carry over across those calls
  *    (clearLearnts() resets the carried clauses when a caller
  *    wants restart-from-scratch behaviour),
- *  - inprocessing between solves: subsumption / self-subsuming
- *    resolution of the problem clauses through the sat/preprocess
- *    Simplifier (which eliminates no variable, so retained learnt
- *    clauses remain sound) and bounded clause vivification,
  *  - conflict/time budgets so descent steps can time out the same
  *    way the paper's setup bounds each SAT call,
  *  - configurable diversification (decision seed, phase policy,
@@ -49,16 +45,17 @@
  *    is between propagations: ClauseRef values are internal and
  *    never escape. snapshotCnf (sat/dimacs.h) therefore reads the
  *    live problem clauses, never refs.
- *  - inprocess()/clearLearnts() preserve equivalence over all
- *    variables (no elimination): any model of the formula before
- *    the call is a model after it and vice versa.
+ *  - clearLearnts() preserves equivalence over all variables: it
+ *    drops only implied clauses, so any model of the formula
+ *    before the call is a model after it and vice versa.
  *  - A default-constructed config makes the solver a deterministic
- *    function of its clause/solve/inprocess call sequence; any two
- *    Solvers fed the same calls return the same answers and models.
+ *    function of its clause/solve/clearLearnts call sequence; any
+ *    two Solvers fed the same calls return the same answers and
+ *    models.
  *  - Compiling with -DFERMIHEDRAL_SOLVER_CHECK (or setting
  *    SolverConfig::selfCheck) runs checkInvariants() at solve,
- *    reduction, collection and inprocessing boundaries; the check
- *    itself is always available and fatal on violation.
+ *    reduction, collection and carry-over reset boundaries; the
+ *    check itself is always available and fatal on violation.
  */
 
 #ifndef FERMIHEDRAL_SAT_SOLVER_H
@@ -179,17 +176,6 @@ class Solver final : public SolverBase
     void boostActivity(Var var, double amount) override;
 
     /**
-     * Inprocess the clause database between solve() calls:
-     * top-level simplification, subsumption / self-subsuming
-     * resolution of the problem clauses through the sat/preprocess
-     * Simplifier (no variable is eliminated, so learnt clauses stay
-     * sound), vivification bounded by a propagation budget, and a
-     * garbage collection when enough waste accumulated. Returns
-     * false when simplification refuted the formula.
-     */
-    bool inprocess();
-
-    /**
      * Drop every learnt clause (the carried state of the
      * incremental descent). The next solve() re-derives what it
      * needs — used to measure what carry-over buys, and by callers
@@ -208,8 +194,8 @@ class Solver final : public SolverBase
                          std::size_t instance_id);
 
     /**
-     * The current problem clauses (simplified, possibly shrunk by
-     * inprocessing — never learnt clauses) plus one unit per
+     * The current problem clauses (simplified against the level-0
+     * facts when added — never learnt clauses) plus one unit per
      * top-level fixed variable. This is the DIMACS export surface:
      * equivalent to the conjunction of every added clause, and
      * stable across garbage collection. An inconsistent solver
@@ -327,12 +313,9 @@ class Solver final : public SolverBase
     void garbageCollectIfNeeded();
     void garbageCollect();
 
-    // --- Inprocessing ------------------------------------------------------
+    // --- Carry-over reset --------------------------------------------------
     /** Drop level-0 reasons (facts need none; frees their clauses). */
     void detachLevelZeroReasons();
-    bool subsumptionPass();
-    bool vivifyPass();
-    bool enqueueFactAndPropagate(Lit lit);
 
     // --- Clause exchange ---------------------------------------------------
     ClauseExchange *exchange = nullptr;

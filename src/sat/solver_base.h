@@ -67,12 +67,6 @@ struct SolverStats
     /** Copying arena collections and the words they reclaimed. */
     std::uint64_t garbageCollects = 0;
     std::uint64_t reclaimedWords = 0;
-    /** Inprocessing rounds and their clause-database effect. */
-    std::uint64_t inprocessings = 0;
-    std::uint64_t inprocessSubsumed = 0;
-    std::uint64_t inprocessStrengthened = 0;
-    std::uint64_t vivifiedClauses = 0;
-    std::uint64_t vivifiedLiterals = 0;
     /** Learnt clauses dropped by clearLearnts() (carry-over off). */
     std::uint64_t clearedLearnts = 0;
 
@@ -88,11 +82,6 @@ struct SolverStats
         sharedIn += other.sharedIn;
         garbageCollects += other.garbageCollects;
         reclaimedWords += other.reclaimedWords;
-        inprocessings += other.inprocessings;
-        inprocessSubsumed += other.inprocessSubsumed;
-        inprocessStrengthened += other.inprocessStrengthened;
-        vivifiedClauses += other.vivifiedClauses;
-        vivifiedLiterals += other.vivifiedLiterals;
         clearedLearnts += other.clearedLearnts;
         return *this;
     }

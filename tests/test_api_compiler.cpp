@@ -19,6 +19,7 @@
 #include "api/service.h"
 #include "api/strategy_registry.h"
 #include "common/logging.h"
+#include "common/timer.h"
 #include "encodings/linear.h"
 #include "fermion/models.h"
 
@@ -315,6 +316,34 @@ TEST(CompilerService, AsyncFutureDeliversFailuresAsErrorResults)
     EXPECT_EQ(stats.submitted, 2u);
     EXPECT_EQ(stats.errors, 2u);
     EXPECT_EQ(stats.ok, 0u);
+}
+
+TEST(CompilerService, IndependenceFamilyBeyondEightModesIsRefused)
+{
+    // The family has 4^N clauses: at 9 modes it would allocate
+    // about 1.6 GB before the deadline is ever polled. The request
+    // is refused up front instead, and the message names the limit
+    // and the way out.
+    CompilerService service;
+    CompilationRequest request = fastRequest(9, "sat");
+    const Timer timer;
+    const auto result = service.compile(request);
+    EXPECT_LT(timer.seconds(), 1.0);
+    EXPECT_EQ(result.status, ResultStatus::Error);
+    EXPECT_NE(result.statusMessage.find("limited to 8 modes"),
+              std::string::npos)
+        << result.statusMessage;
+    EXPECT_NE(result.statusMessage.find("sat-noalg"),
+              std::string::npos)
+        << result.statusMessage;
+
+    // Without the family the same size is an ordinary request.
+    request.strategy = "sat-noalg";
+    request.stepTimeoutSeconds = 0.2;
+    request.totalTimeoutSeconds = 0.2;
+    const auto noalg = service.compile(request);
+    EXPECT_EQ(noalg.status, ResultStatus::Ok) << noalg.statusMessage;
+    EXPECT_TRUE(noalg.validation.valid());
 }
 
 TEST(CompilerService, LruEvictsLeastRecentlyUsed)

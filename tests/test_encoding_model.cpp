@@ -37,15 +37,31 @@ TEST(EncodingModel, DecodedSolutionSatisfiesConstraints)
     }
 }
 
-TEST(EncodingModel, WithoutAlgebraicIndependenceStillAnticommutes)
+TEST(EncodingModel, ModelsWithoutIndependenceFamilyAreIndependent)
 {
-    sat::Solver solver;
-    auto options = baseOptions(3, 36);
-    options.algebraicIndependence = false;
-    EncodingModel model(solver, options);
-    ASSERT_EQ(solver.solve(), sat::SolveStatus::Sat);
-    const auto v = enc::validateEncoding(model.decode());
-    EXPECT_TRUE(v.anticommutativity) << v.detail;
+    // Anticommutation alone forces independence (see the Validator
+    // tests in test_encodings.cpp): distinct models of the model
+    // without the family must still decode to valid encodings.
+    for (std::size_t modes = 1; modes <= 7; ++modes) {
+        sat::Solver solver;
+        // No bound is asserted, so the narrowest counter will do.
+        auto options = baseOptions(modes, 1);
+        options.algebraicIndependence = false;
+        EncodingModel model(solver, options);
+        std::size_t drawn = 0;
+        while (drawn < 10 &&
+               solver.solve() == sat::SolveStatus::Sat) {
+            const auto v = enc::validateEncoding(model.decode());
+            EXPECT_TRUE(v.anticommutativity)
+                << "modes=" << modes << ": " << v.detail;
+            EXPECT_TRUE(v.algebraicIndependence)
+                << "modes=" << modes << ": " << v.detail;
+            model.blockCurrentSolution();
+            ++drawn;
+        }
+        // One mode has a single vacuum-pairing model (X, Y).
+        EXPECT_EQ(drawn, modes == 1 ? 1u : 10u) << "modes=" << modes;
+    }
 }
 
 TEST(EncodingModel, BoundForbidsHeavySolutions)

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/gf2.h"
 #include "common/rng.h"
 #include "encodings/encoding.h"
 #include "encodings/linear.h"
@@ -159,6 +163,98 @@ TEST(Validator, DetectsAlgebraicDependence)
     // via rank directly on the first three plus their product.
     const auto v = validateEncoding(bad);
     EXPECT_FALSE(v.valid());
+}
+
+/**
+ * Every set of `size` pairwise-anticommuting non-identity Pauli
+ * strings on `qubits` qubits, each in ascending (x, z) mask order.
+ */
+std::vector<std::vector<pauli::PauliString>>
+anticommutingSets(std::size_t qubits, std::size_t size)
+{
+    std::vector<pauli::PauliString> strings;
+    const std::uint64_t masks = std::uint64_t{1} << qubits;
+    for (std::uint64_t x = 0; x < masks; ++x)
+        for (std::uint64_t z = 0; z < masks; ++z)
+            if (x != 0 || z != 0)
+                strings.push_back(
+                    pauli::PauliString::fromMasks(qubits, x, z));
+    std::vector<std::vector<pauli::PauliString>> sets;
+    std::vector<pauli::PauliString> chosen;
+    const auto extend = [&](auto &self, std::size_t from) -> void {
+        if (chosen.size() == size) {
+            sets.push_back(chosen);
+            return;
+        }
+        for (std::size_t i = from; i < strings.size(); ++i) {
+            bool fits = true;
+            for (const auto &member : chosen)
+                fits = fits && strings[i].anticommutesWith(member);
+            if (!fits)
+                continue;
+            chosen.push_back(strings[i]);
+            self(self, i + 1);
+            chosen.pop_back();
+        }
+    };
+    extend(extend, 0);
+    return sets;
+}
+
+/** GF(2) rank of the strings' symplectic rows, laid out as in
+ * validateEncoding. */
+std::size_t
+symplecticRank(const std::vector<pauli::PauliString> &strings)
+{
+    const std::size_t qubits = strings[0].numQubits();
+    BitMatrix symplectic(strings.size(), 2 * qubits);
+    for (std::size_t i = 0; i < strings.size(); ++i) {
+        for (std::size_t q = 0; q < qubits; ++q) {
+            symplectic.set(i, 2 * q, (strings[i].xMask() >> q) & 1);
+            symplectic.set(i, 2 * q + 1,
+                           (strings[i].zMask() >> q) & 1);
+        }
+    }
+    return symplectic.rank();
+}
+
+TEST(Validator, EveryAnticommutingTwoNSetIsIndependent)
+{
+    // The theorem behind dropping the independence family: let a
+    // non-empty subset S of 2N pairwise-anticommuting strings
+    // multiply to ~I. A string outside S commutes with the product
+    // only if |S| is even, one inside S only if |S| is odd, so S
+    // must be the whole set with |S| = 2N odd: impossible.
+    const std::size_t expected[] = {3, 30, 2016};
+    for (std::size_t modes = 1; modes <= 3; ++modes) {
+        const auto sets = anticommutingSets(modes, 2 * modes);
+        EXPECT_EQ(sets.size(), expected[modes - 1])
+            << "modes=" << modes;
+        for (const auto &set : sets) {
+            FermionEncoding encoding;
+            encoding.modes = modes;
+            encoding.majoranas = set;
+            const auto v = validateEncoding(encoding);
+            ASSERT_TRUE(v.anticommutativity) << v.detail;
+            ASSERT_TRUE(v.algebraicIndependence)
+                << "modes=" << modes << ": " << v.detail;
+        }
+    }
+}
+
+TEST(Validator, EveryAnticommutingTwoNPlusOneSetIsDependent)
+{
+    // The control: one string more and the whole set multiplies to
+    // ~I (|S| = 2N+1 is odd), which is then the only dependency.
+    const std::size_t expected[] = {1, 6, 288};
+    for (std::size_t modes = 1; modes <= 3; ++modes) {
+        const auto sets = anticommutingSets(modes, 2 * modes + 1);
+        EXPECT_EQ(sets.size(), expected[modes - 1])
+            << "modes=" << modes;
+        for (const auto &set : sets)
+            ASSERT_EQ(symplecticRank(set), 2 * modes)
+                << "modes=" << modes;
+    }
 }
 
 /** Spectrum preservation across encodings and models. */

@@ -7,10 +7,10 @@
  * enough to audit by eye) over seeded random instances: random
  * 3-SAT near the phase transition, mixed-width k-SAT, totalizer
  * cardinality instances, and assumption-based incremental solves
- * that interleave inprocess()/clearLearnts() calls. Verdicts must
- * agree on every instance; every Sat answer is validated clause by
- * clause against the reported model; instances also round-trip
- * through the DIMACS writer/parser.
+ * that interleave clearLearnts() calls. Verdicts must agree on
+ * every instance; every Sat answer is validated clause by clause
+ * against the reported model; instances also round-trip through
+ * the DIMACS writer/parser.
  *
  * Environment knobs (the CI fuzz-smoke job uses both):
  *  - FERMIHEDRAL_FUZZ_ITERATIONS: total instance budget across the
@@ -366,8 +366,8 @@ modelSatisfies(const sat::Solver &solver, const Instance &instance,
 /**
  * One differential episode: load the instance once, then solve it
  * under each assumption set in order (reference vs production),
- * optionally interleaving inprocess()/clearLearnts() between the
- * incremental calls.
+ * optionally calling clearLearnts() after every other incremental
+ * call.
  */
 testing::AssertionResult
 checkInstance(const Instance &instance,
@@ -412,12 +412,8 @@ checkInstance(const Instance &instance,
                        << valid.message();
             }
         }
-        if (maintain && !solver.inconsistent()) {
-            if (e % 2 == 0)
-                solver.inprocess();
-            else
-                solver.clearLearnts();
-        }
+        if (maintain && !solver.inconsistent() && e % 2 == 1)
+            solver.clearLearnts();
     }
     (void)load_conflict; // covered by the Unsat verdict agreement
     return testing::AssertionSuccess();
@@ -502,9 +498,9 @@ TEST(Differential, TotalizerCardinality)
 TEST(Differential, IncrementalAssumptions)
 {
     // Several solves of one instance under changing assumptions,
-    // with inprocessing and carry-over resets interleaved: the
-    // production solver must stay equivalent to a fresh reference
-    // solve at every step.
+    // with carry-over resets interleaved: the production solver
+    // must stay equivalent to a fresh reference solve at every
+    // step.
     const std::size_t count =
         std::max<std::size_t>(totalBudget() / 8, 4);
     for (std::uint64_t seed = 0; seed < count; ++seed) {

@@ -8,13 +8,14 @@
  * the compile-time path is covered there), driving checkInvariants()
  * through the interesting lifecycle boundaries: plain solves,
  * assumption solves, conflict-heavy UNSAT proofs, learnt-database
- * reduction, inprocessing, carry-over resets and arena garbage
- * collection. The VarHeap's own consistency probe (brokenSlot) is
- * unit-tested directly.
+ * reduction, carry-over resets and arena garbage collection. The
+ * VarHeap's own consistency probe (brokenSlot) is unit-tested
+ * directly.
  */
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -61,9 +62,14 @@ addRandom3Sat(sat::Solver &solver, Rng &rng, std::size_t num_vars,
     return vars;
 }
 
-/** Pigeonhole principle PHP(holes+1, holes): UNSAT, conflict-rich. */
+/**
+ * Pigeonhole principle PHP(holes+1, holes): UNSAT, conflict-rich.
+ * `guard` is appended to every "somewhere" clause: with guard {~s}
+ * the instance is UNSAT only under the assumption s.
+ */
 void
-addPigeonhole(sat::Solver &solver, std::size_t holes)
+addPigeonhole(sat::Solver &solver, std::size_t holes,
+              std::span<const sat::Lit> guard = {})
 {
     const std::size_t pigeons = holes + 1;
     std::vector<std::vector<sat::Var>> in(pigeons);
@@ -74,6 +80,7 @@ addPigeonhole(sat::Solver &solver, std::size_t holes)
         std::vector<sat::Lit> somewhere;
         for (std::size_t h = 0; h < holes; ++h)
             somewhere.push_back(mkLit(in[p][h]));
+        somewhere.insert(somewhere.end(), guard.begin(), guard.end());
         solver.addClause(somewhere);
     }
     for (std::size_t h = 0; h < holes; ++h)
@@ -167,9 +174,6 @@ TEST(SolverCheck, LifecycleBoundaries)
     EXPECT_NE(solver.solve(), sat::SolveStatus::Unknown);
     solver.checkInvariants();
 
-    EXPECT_TRUE(solver.inprocess() || solver.inconsistent());
-    solver.checkInvariants();
-
     solver.clearLearnts();
     solver.checkInvariants();
 
@@ -207,31 +211,31 @@ TEST(SolverCheck, GeometricRestartsAndRandomBranching)
     solver.checkInvariants();
 }
 
-TEST(SolverCheck, GarbageCollectionReclaimsSubsumedWaste)
+TEST(SolverCheck, GarbageCollectionReclaimsClearedLearnts)
 {
     sat::Solver solver(checkedConfig());
-    const sat::Var a = solver.newVar();
-    const sat::Var b = solver.newVar();
-    std::vector<sat::Var> pad;
-    for (int i = 0; i < 2000; ++i)
-        pad.push_back(solver.newVar());
-    // One binary clause subsumes every padded ternary below: the
-    // subsumption pass retires them all, which crosses the
+    const sat::Var selector = solver.newVar();
+    const sat::Lit on = mkLit(selector);
+    const sat::Lit guard[] = {~on};
+    addPigeonhole(solver, 6, guard);
+    // Refuting PHP(7,6) under the selector learns far more clauses
+    // than the instance holds: dropping them all crosses the
     // quarter-of-arena waste threshold and forces a collection.
-    solver.addClause({mkLit(a), mkLit(b)});
-    for (const sat::Var p : pad)
-        solver.addClause({mkLit(a), mkLit(b), mkLit(p)});
-
-    const std::size_t before = solver.arenaWords();
-    EXPECT_TRUE(solver.inprocess());
+    const sat::Lit assume[] = {on};
+    EXPECT_EQ(solver.solve(assume), sat::SolveStatus::Unsat);
     solver.checkInvariants();
 
-    EXPECT_GE(solver.stats().inprocessings, 1u);
-    EXPECT_GT(solver.stats().inprocessSubsumed, 1000u);
-    EXPECT_GE(solver.stats().garbageCollects, 1u);
+    const std::uint64_t collects = solver.stats().garbageCollects;
+    const std::size_t before = solver.arenaWords();
+    solver.clearLearnts();
+    solver.checkInvariants();
+
+    EXPECT_GT(solver.stats().garbageCollects, collects);
     EXPECT_GT(solver.stats().reclaimedWords, 0u);
     EXPECT_LT(solver.arenaWords(), before);
 
+    EXPECT_EQ(solver.solve(assume), sat::SolveStatus::Unsat);
+    solver.checkInvariants();
     EXPECT_EQ(solver.solve(), sat::SolveStatus::Sat);
     solver.checkInvariants();
 }
@@ -239,8 +243,7 @@ TEST(SolverCheck, GarbageCollectionReclaimsSubsumedWaste)
 TEST(SolverCheck, TotalizerDescentUnderChecks)
 {
     // Mimic the descent loop: build a totalizer, then tighten the
-    // bound one step at a time with inprocessing in between, all
-    // with invariant checks armed.
+    // bound one step at a time, all with invariant checks armed.
     sat::Solver solver(checkedConfig());
     std::vector<sat::Lit> inputs;
     for (int i = 0; i < 10; ++i)
@@ -267,8 +270,6 @@ TEST(SolverCheck, TotalizerDescentUnderChecks)
         if (bound == 0 || count == 0)
             break;
         bound = count - 1;
-        EXPECT_TRUE(solver.inprocess());
-        solver.checkInvariants();
     }
     EXPECT_GE(sat_steps, 1u);
     // Three inputs are forced true, so the descent bottoms out
