@@ -185,6 +185,9 @@ descentOptions(Config config, double step_timeout,
  * -> Algorithm 2 annealing -> seeded dependent descent) now lives
  * behind the "sat"/"sat-noalg" strategies; attach a Hamiltonian to
  * run it, leave `hamiltonian` empty for the independent search.
+ * Both names run one search without the independence clauses, so
+ * the two configurations differ only in their labels here; the
+ * DescentOptions overload above keeps Full SAT's family.
  */
 inline api::CompilationRequest
 compilationRequest(Config config, double step_timeout,

@@ -78,7 +78,6 @@ main(int argc, char **argv)
 
     api::CompilationRequest request;
     request.hamiltonian = h;
-    request.algebraicIndependence = h.modes() <= 4;
     request.stepTimeoutSeconds = *timeout / 3.0;
     request.totalTimeoutSeconds = *timeout;
 

@@ -118,7 +118,12 @@ struct CompilationRequest : core::EngineOptions
     /** Search objective; Auto resolves from the problem spec. */
     Objective objective = Objective::Auto;
 
-    /** Keep the power-set algebraic independence clauses. */
+    /**
+     * Accepted and kept in the cache identity, but ignored by every
+     * strategy: anticommuting strings are always independent, so
+     * no strategy builds the power-set independence clauses, and
+     * `sat` and `sat-noalg` run one search.
+     */
     bool algebraicIndependence = true;
 
     /** Keep the vacuum X/Y-pairing clauses. */

@@ -63,7 +63,11 @@ struct RequestSpec
      */
     std::string topology;
 
-    /** Section 3.1 constraint toggles. */
+    /**
+     * Section 3.1 constraint toggles. `alg` is accepted and kept in
+     * the cache key but changes no strategy's search (see
+     * CompilationRequest::algebraicIndependence).
+     */
     bool algebraicIndependence = true;
     bool vacuumPreservation = true;
 

@@ -207,14 +207,18 @@ class ClosedFormStrategy final : public EncodingStrategy
     Builder builder;
 };
 
-/** DescentOptions shared by every SAT-backed strategy. */
+/**
+ * DescentOptions shared by every SAT-backed strategy. None builds
+ * the algebraic independence family: anticommuting strings are
+ * always independent, so the family never removes a model and
+ * request.algebraicIndependence changes no search.
+ */
 core::DescentOptions
-descentOptions(const CompilationRequest &request,
-               bool algebraic_independence)
+descentOptions(const CompilationRequest &request)
 {
     core::DescentOptions options;
     static_cast<core::EngineOptions &>(options) = request;
-    options.algebraicIndependence = algebraic_independence;
+    options.algebraicIndependence = false;
     options.vacuumPreservation = request.vacuumPreservation;
     options.stepTimeoutSeconds = request.stepTimeoutSeconds;
     options.totalTimeoutSeconds = request.totalTimeoutSeconds;
@@ -262,22 +266,15 @@ rescoreUnderRoutedCost(const CompilationRequest &request,
 class SatStrategy final : public EncodingStrategy
 {
   public:
-    explicit SatStrategy(bool algebraic_independence)
-        : algebraicIndependence(algebraic_independence)
-    {
-    }
-
     SearchOutcome
     search(const CompilationRequest &request) const override
     {
         if (request.resolvedObjective() == Objective::RoutedCost)
             return rescoreUnderRoutedCost(request, *this);
-        const bool with_alg =
-            algebraicIndependence && request.algebraicIndependence;
         const DeadlineClock clock(request.deadlineSeconds);
         SearchOutcome outcome;
         if (request.resolvedObjective() == Objective::TotalWeight) {
-            auto options = descentOptions(request, with_alg);
+            auto options = descentOptions(request);
             options.totalTimeoutSeconds =
                 clock.cap(options.totalTimeoutSeconds);
             core::DescentSolver solver(request.resolvedModes(),
@@ -301,7 +298,7 @@ class SatStrategy final : public EncodingStrategy
         // the pipeline down the degradation ladder.
         Timer timer;
         const auto &h = *request.hamiltonian;
-        auto indep_options = descentOptions(request, with_alg);
+        auto indep_options = descentOptions(request);
         indep_options.stepTimeoutSeconds /= 2.0;
         indep_options.totalTimeoutSeconds =
             clock.cap(indep_options.totalTimeoutSeconds / 2.0);
@@ -317,7 +314,7 @@ class SatStrategy final : public EncodingStrategy
         const auto annealed =
             core::annealPairing(indep.encoding, h);
 
-        auto full_options = descentOptions(request, with_alg);
+        auto full_options = descentOptions(request);
         full_options.totalTimeoutSeconds = clock.cap(std::max(
             request.totalTimeoutSeconds - timer.seconds(), 0.0));
         full_options.seedEncoding = annealed.encoding;
@@ -339,9 +336,6 @@ class SatStrategy final : public EncodingStrategy
         outcome.statusMessage = statusDetail(outcome.status);
         return outcome;
     }
-
-  private:
-    bool algebraicIndependence;
 };
 
 /**
@@ -374,8 +368,7 @@ class SatAnnealingStrategy final : public EncodingStrategy
         const auto &h = *request.hamiltonian;
 
         const DeadlineClock clock(request.deadlineSeconds);
-        auto options =
-            descentOptions(request, request.algebraicIndependence);
+        auto options = descentOptions(request);
         options.totalTimeoutSeconds =
             clock.cap(options.totalTimeoutSeconds);
         core::DescentSolver solver(h.modes(), options);
@@ -422,7 +415,7 @@ class SatRoutedStrategy final : public EncodingStrategy
     {
         requireRoutedRequest(request, "sat-routed");
         SearchOutcome outcome =
-            rescoreUnderRoutedCost(request, SatStrategy(true));
+            rescoreUnderRoutedCost(request, SatStrategy());
 
         const auto placed = hw::optimizePlacement(
             outcome.encoding, *request.topology,
@@ -458,7 +451,7 @@ class PickRoutedStrategy final : public EncodingStrategy
         const std::size_t modes = request.resolvedModes();
 
         const SearchOutcome sat =
-            rescoreUnderRoutedCost(request, SatStrategy(true));
+            rescoreUnderRoutedCost(request, SatStrategy());
 
         std::vector<enc::FermionEncoding> candidates;
         for (const auto builder :
@@ -516,12 +509,13 @@ registry()
         closed("bravyi-kitaev", enc::bravyiKitaev);
         closed("parity", enc::parity);
         closed("ternary-tree", enc::ternaryTree);
-        instance.factories.emplace("sat", [] {
-            return std::make_unique<SatStrategy>(true);
-        });
-        instance.factories.emplace("sat-noalg", [] {
-            return std::make_unique<SatStrategy>(false);
-        });
+        // Two names for one search: the wire and the cache keys
+        // carry both.
+        for (const char *name : {"sat", "sat-noalg"}) {
+            instance.factories.emplace(name, [] {
+                return std::make_unique<SatStrategy>();
+            });
+        }
         instance.factories.emplace("sat+annealing", [] {
             return std::make_unique<SatAnnealingStrategy>();
         });

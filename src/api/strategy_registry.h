@@ -13,8 +13,10 @@
  *                   dependent objective it runs the paper's full
  *                   pipeline (independent solve -> Algorithm 2
  *                   annealing -> seeded dependent solve)
- *   sat-noalg       `sat` with the algebraic independence clauses
- *                   dropped (Sec. 4.1)
+ *   sat-noalg       the same search as `sat`, under the name of
+ *                   the paper's Sec. 4.1 configuration. No
+ *                   strategy builds the algebraic independence
+ *                   clauses: anticommutation already implies them
  *   sat+annealing   independent solve + Algorithm 2 pairing only
  *                   (the scalable path of Table 5)
  *   sat-routed      weight-optimal SAT search + topology-aware

@@ -112,6 +112,8 @@ DescentSolver::solve()
         return result;
     }
 
+    // Building the model loads it into the solver clause by clause,
+    // so the loop's first stop check runs right after the load.
     Timer construct_timer;
     solver = makeSolver();
     EncodingModelOptions model_options;

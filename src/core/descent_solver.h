@@ -147,7 +147,13 @@ struct EngineOptions
 /** Options for one descent run. */
 struct DescentOptions : EngineOptions
 {
-    /** Keep the power-set algebraic independence clauses. */
+    /**
+     * Build the power-set algebraic independence clauses (the
+     * paper's Full SAT; fatal beyond 8 modes). They never remove a
+     * model, because anticommuting strings are always independent,
+     * so only the paper's figures that plot them set this: every
+     * api strategy runs with it off.
+     */
     bool algebraicIndependence = true;
 
     /** Keep the vacuum X/Y-pairing clauses. */
@@ -215,7 +221,11 @@ struct DescentResult
     /** Number of SAT solve() calls made. */
     std::size_t satCalls = 0;
 
-    /** Wall-clock split between building and solving the model. */
+    /**
+     * Wall-clock split between building and solving the model.
+     * Building includes loading it into the solver, which takes
+     * each clause as the model emits it.
+     */
     double constructSeconds = 0.0;
     double solveSeconds = 0.0;
 

@@ -13,8 +13,12 @@ EncodingModel::EncodingModel(sat::SolverBase &solver,
                              const EncodingModelOptions &options)
     : solver(solver), formula(solver), options(options)
 {
-    require(options.modes >= 1 && options.modes <= 32,
-            "EncodingModel supports 1..32 modes");
+    require(options.modes >= 1, "EncodingModel needs a mode");
+    if (options.modes > 32) {
+        fatal("SAT search supports at most 32 modes (got ",
+              options.modes, "): a Hamiltonian subset is a 64-bit "
+              "mask over the 2N Majorana strings");
+    }
     require(options.costCap >= 1, "costCap must be positive");
     buildVariables();
     buildAnticommutativity();
@@ -103,12 +107,13 @@ EncodingModel::buildAlgebraicIndependence()
     // bits(lowest), costing one variable per (subset, position).
     // The family has 4^N clauses: about 1.6 GB of model at N = 9,
     // and construction never polls a deadline. Anticommuting
-    // strings are independent anyway (ROADMAP item 1).
+    // strings are independent anyway, so no strategy builds it;
+    // only the paper's Full SAT figures do.
     if (options.modes > 8) {
         fatal("algebraic independence clauses are exponential; "
               "limited to 8 modes (got ", options.modes,
-              ") - drop the constraint instead (strategy "
-              "sat-noalg)");
+              ") - leave the constraint off: anticommutation "
+              "already implies it");
     }
     const std::size_t strings = 2 * options.modes;
     const std::size_t positions = 2 * options.modes;

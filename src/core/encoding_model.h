@@ -23,6 +23,8 @@
  *    descent of Algorithm 1 tightens the bound by unit clauses.
  *
  * Key invariants:
+ *  - The model supports 1..32 modes (a Hamiltonian subset is a
+ *    64-bit mask over the 2N strings); more is a fatal diagnostic.
  *  - All constraints are built into the solver by the constructor;
  *    afterwards the model only reads literals, asserts bounds and
  *    decodes. The solver must outlive the model. Any SolverBase
@@ -62,6 +64,8 @@ struct EncodingModelOptions
     /**
      * Emit the power-set algebraic independence clauses: 4^N of
      * them, so the model is fatal beyond 8 modes with this on.
+     * Anticommutation already implies them; they stay for the
+     * paper's figures that measure their cost.
      */
     bool algebraicIndependence = true;
 

@@ -47,11 +47,10 @@ struct Cnf
 
     /**
      * Load every clause into a solver. Returns false when the
-     * solver detects a conflict at load time; how much it detects
-     * is the solver's affair (the plain Solver unit-propagates per
-     * clause, a staging solver like PortfolioSolver reports only
-     * direct contradictions and finds the rest at the first
-     * solve()). UNSAT itself is never lost — solve() still says so.
+     * solver detects a conflict at load time. Solver and
+     * PortfolioSolver unit-propagate each clause as it arrives,
+     * so they report every level-0 conflict here; a solver that
+     * detects less still never loses UNSAT — solve() says so.
      */
     bool loadInto(SolverBase &solver) const;
 };

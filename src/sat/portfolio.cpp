@@ -145,14 +145,14 @@ PortfolioSolver::instanceConfig(std::size_t index)
 // --------------------------------------------------------------------
 
 PortfolioSolver::PortfolioSolver(const PortfolioOptions &options)
-    : options(options),
-      instanceCount(0),
+    : instanceCount(0),
       threadCount(ThreadPool::resolveThreadCount(
           static_cast<std::int64_t>(options.threads)))
 {
     instanceCount = options.instances > 0 ? options.instances
                                           : threadCount;
     require(instanceCount >= 1, "portfolio needs an instance");
+    instances.push_back(std::make_unique<Solver>(instanceConfig(0)));
 }
 
 PortfolioSolver::~PortfolioSolver() = default;
@@ -160,21 +160,10 @@ PortfolioSolver::~PortfolioSolver() = default;
 Var
 PortfolioSolver::newVar()
 {
-    const Var var = static_cast<Var>(varCount);
-    ++varCount;
-    stagedUnits.push_back(LBool::Undef);
-    if (built) {
-        for (auto &instance : instances)
-            instance->newVar();
-    }
+    const Var var = instances.front()->newVar();
+    for (std::size_t i = 1; i < instances.size(); ++i)
+        instances[i]->newVar();
     return var;
-}
-
-std::size_t
-PortfolioSolver::numClauses() const
-{
-    return built ? instances.front()->numClauses()
-                 : pendingClauses.size();
 }
 
 void
@@ -184,7 +173,7 @@ PortfolioSolver::checkIncrementalLits(
     for (const Lit lit : literals) {
         const Var var = litVar(lit);
         require(var >= 0 &&
-                    static_cast<std::size_t>(var) < varCount,
+                    static_cast<std::size_t>(var) < numVars(),
                 "literal references unknown variable");
     }
 }
@@ -192,33 +181,7 @@ PortfolioSolver::checkIncrementalLits(
 bool
 PortfolioSolver::addClause(std::span<const Lit> literals)
 {
-    if (!built) {
-        for (const Lit lit : literals) {
-            require(litVar(lit) >= 0 &&
-                        static_cast<std::size_t>(litVar(lit)) <
-                            varCount,
-                    "clause references unknown variable");
-        }
-        if (literals.empty())
-            stagedUnsat = true;
-        // Track staged unit clauses so directly contradictory
-        // units report the conflict immediately (the Cnf::loadInto
-        // contract); deeper conflicts surface at the first solve.
-        if (literals.size() == 1) {
-            const Var var = litVar(literals[0]);
-            const LBool value = litSign(literals[0])
-                                    ? LBool::False
-                                    : LBool::True;
-            if (stagedUnits[var] == -value)
-                stagedUnsat = true;
-            else
-                stagedUnits[var] = value;
-        }
-        pendingClauses.emplace_back(literals.begin(),
-                                    literals.end());
-        return !stagedUnsat;
-    }
-    checkIncrementalLits(literals);
+    ++clausesAdded;
     // Instances hold the same problem clauses but may have adopted
     // different shared units, so level-0 unsatisfiability can
     // surface in any one of them first.
@@ -231,81 +194,67 @@ PortfolioSolver::addClause(std::span<const Lit> literals)
 void
 PortfolioSolver::setPolarity(Var var, bool value)
 {
-    require(static_cast<std::size_t>(var) < varCount,
-            "setPolarity on unknown variable");
-    if (!built) {
-        pendingPolarity.emplace_back(var, value);
-        return;
-    }
     for (auto &instance : instances)
         instance->setPolarity(var, value);
+    if (!built())
+        pendingPolarity.emplace_back(var, value);
 }
 
 void
 PortfolioSolver::boostActivity(Var var, double amount)
 {
-    require(static_cast<std::size_t>(var) < varCount,
-            "boostActivity on unknown variable");
-    if (!built) {
-        pendingActivity.emplace_back(var, amount);
-        return;
-    }
     for (auto &instance : instances)
         instance->boostActivity(var, amount);
+    if (!built())
+        pendingActivity.emplace_back(var, amount);
 }
 
 void
-PortfolioSolver::build()
+PortfolioSolver::buildRacers()
 {
-    require(!built, "portfolio built twice");
     telemetry::TraceSpan span("portfolio.build");
+    const std::vector<std::vector<Lit>> clauses =
+        instances.front()->problemClausesSnapshot();
     if (span.active()) {
         span.arg("instances", instanceCount);
-        span.arg("clauses", pendingClauses.size());
+        span.arg("clauses", clauses.size());
     }
 
-    // Instances are independent until the exchange connects them,
+    // The racers are independent until the exchange connects them,
     // so construction and clause loading fan out over the pool —
-    // loading a large instance N times serially would multiply
-    // the first solve's construction wall-clock by N.
+    // loading a large instance N - 1 times serially would multiply
+    // the first solve's wall clock by N - 1.
+    const std::size_t vars = numVars();
     pool = std::make_unique<ThreadPool>(
         std::min(threadCount, instanceCount));
     instances.resize(instanceCount);
-    pool->forEach(instanceCount, [&](std::size_t i) {
+    pool->forEach(instanceCount - 1, [&](std::size_t racer) {
+        const std::size_t i = racer + 1;
         auto instance =
             std::make_unique<Solver>(instanceConfig(i));
-        for (std::size_t var = 0; var < varCount; ++var)
+        for (std::size_t var = 0; var < vars; ++var)
             instance->newVar();
         for (const auto &[var, value] : pendingPolarity)
             instance->setPolarity(var, value);
         for (const auto &[var, amount] : pendingActivity)
             instance->boostActivity(var, amount);
-        if (!stagedUnsat) {
-            for (const auto &clause : pendingClauses)
-                instance->addClause(clause);
-        }
+        for (const auto &clause : clauses)
+            instance->addClause(clause);
         instances[i] = std::move(instance);
     });
 
-    if (instanceCount > 1) {
-        exchange = std::make_unique<ClauseExchange>(
-            instanceCount, shareMaxLbd, shareMaxSize);
-        for (std::size_t i = 0; i < instanceCount; ++i)
-            instances[i]->connectExchange(exchange.get(), i);
-    }
+    exchange = std::make_unique<ClauseExchange>(
+        instanceCount, shareMaxLbd, shareMaxSize);
+    for (std::size_t i = 0; i < instanceCount; ++i)
+        instances[i]->connectExchange(exchange.get(), i);
 
-    pendingClauses.clear();
-    pendingClauses.shrink_to_fit();
-    pendingPolarity.clear();
-    pendingActivity.clear();
-    built = true;
+    pendingPolarity = {};
+    pendingActivity = {};
 }
 
 void
 PortfolioSolver::clearLearnts()
 {
-    if (!built)
-        return;
     for (auto &instance : instances)
         instance->clearLearnts();
 }
@@ -314,23 +263,22 @@ SolveStatus
 PortfolioSolver::solve(std::span<const Lit> assumptions,
                        const Budget &budget)
 {
-    if (!built)
-        build();
+    checkIncrementalLits(assumptions);
+    // An inconsistent instance 0 answers Unsat on its own, and its
+    // snapshot would be a placeholder, so no racer is built for it.
+    const bool race =
+        instanceCount > 1 && !instances.front()->inconsistent();
+    if (race && !built())
+        buildRacers();
     telemetry::TraceSpan span("portfolio.solve");
     if (span.active())
         span.arg("instances", instanceCount);
     ++portfolio.solves;
-    if (stagedUnsat) {
-        ++portfolio.unsatAnswers;
-        portfolio.lastWinner = 0;
-        return SolveStatus::Unsat;
-    }
-    checkIncrementalLits(assumptions);
 
     SolveStatus status = SolveStatus::Unknown;
     std::size_t winner_index = 0;
-    if (instanceCount == 1) {
-        status = instances[0]->solve(assumptions, budget);
+    if (!race) {
+        status = instances.front()->solve(assumptions, budget);
     } else {
         std::vector<SolveStatus> results(instanceCount,
                                          SolveStatus::Unknown);
@@ -444,8 +392,8 @@ PortfolioSolver::solve(std::span<const Lit> assumptions,
 void
 PortfolioSolver::publishModel(const Solver &winner)
 {
-    fullModel.resize(varCount, LBool::Undef);
-    for (std::size_t var = 0; var < varCount; ++var)
+    fullModel.resize(numVars(), LBool::Undef);
+    for (std::size_t var = 0; var < fullModel.size(); ++var)
         fullModel[var] = winner.modelValue(static_cast<Var>(var));
 }
 
@@ -460,8 +408,7 @@ PortfolioSolver::modelValue(Var var) const
 bool
 PortfolioSolver::inconsistent() const
 {
-    return stagedUnsat ||
-           std::any_of(instances.begin(), instances.end(),
+    return std::any_of(instances.begin(), instances.end(),
                        [](const auto &instance) {
                            return instance->inconsistent();
                        });
@@ -480,10 +427,7 @@ const PortfolioStats &
 PortfolioSolver::portfolioStats() const
 {
     portfolio.aggregate = stats();
-    portfolio.winner =
-        built && portfolio.lastWinner < instances.size()
-            ? instances[portfolio.lastWinner]->stats()
-            : SolverStats{};
+    portfolio.winner = instances[portfolio.lastWinner]->stats();
     return portfolio;
 }
 

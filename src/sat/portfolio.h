@@ -2,29 +2,35 @@
  * @file
  * Parallel portfolio SAT engine.
  *
- * PortfolioSolver presents the SolverBase surface but, underneath,
- * stages the incoming formula until the first solve() call, loads
- * it into one CDCL instance or N diversified ones (different EVSIDS
- * seeds, phase policies and restart schedules), and from then on
- * runs the one instance, or races the N over a shared ThreadPool,
- * on every solve() call. Racing instances exchange short low-LBD
- * learnt clauses through a lock-light append-only buffer; the first
- * decisive finisher wins and cancels the rest through the Budget
- * stop flag, so the winning instance — and hence the model — may
- * differ run to run. A one-instance portfolio is the deterministic
- * mode: its answers are a pure function of the call sequence and
- * budgets.
+ * PortfolioSolver presents the SolverBase surface over one CDCL
+ * instance or N diversified ones (different EVSIDS seeds, phase
+ * policies and restart schedules). Instance 0 exists from
+ * construction and takes every newVar()/addClause()/setPolarity()/
+ * boostActivity() as it arrives, so the formula is never staged.
+ * A racing portfolio builds instances 1..N-1 at its first solve()
+ * from instance 0's problemClausesSnapshot() plus the warm-start
+ * hints recorded until then, and from that solve on races the N
+ * over a shared ThreadPool. Racing instances exchange short
+ * low-LBD learnt clauses through a lock-light append-only buffer;
+ * the first decisive finisher wins and cancels the rest through
+ * the Budget stop flag, so the winning instance — and hence the
+ * model — may differ run to run. A one-instance portfolio is the
+ * deterministic mode: its answers are a pure function of the call
+ * sequence and budgets.
  *
  * Key invariants:
- *  - Variable numbering is shared: newVar()/addClause() broadcast
- *    to every instance in call order, so literal meanings agree
+ *  - Variable numbering is shared: newVar()/addClause() go to
+ *    every built instance in call order, so literal meanings agree
  *    across the portfolio and with the caller.
  *  - No variable is ever eliminated: clauses and assumptions may
  *    mention any created variable at any time, and after Sat,
  *    modelValue() is the winner's model, defined for every
  *    variable.
- *  - With instances = 1, solve behaviour is bit-identical to a
- *    plain Solver fed the same calls, for every thread count.
+ *  - With instances = 1, every call goes straight to a plain
+ *    Solver: answers, models and SolverStats are bit-identical to
+ *    a Solver fed the same calls, for every thread count.
+ *  - A level-0 conflict is reported by the addClause() call that
+ *    causes it, as a plain Solver reports it.
  *  - Budget.maxSeconds bounds the whole solve() call's wall
  *    clock, not each instance: with fewer threads than instances
  *    the stragglers only get whatever the earlier finishers left
@@ -158,8 +164,17 @@ class PortfolioSolver final : public SolverBase
     ~PortfolioSolver() override;
 
     Var newVar() override;
-    std::size_t numVars() const override { return varCount; }
-    std::size_t numClauses() const override;
+    std::size_t numVars() const override
+    {
+        return instances.front()->numVars();
+    }
+
+    /**
+     * addClause() calls so far, units and clauses satisfied at
+     * level 0 included: the instance as its builder emitted it.
+     * Instance 0 stores fewer (Solver::numClauses()).
+     */
+    std::size_t numClauses() const override { return clausesAdded; }
 
     using SolverBase::addClause;
     bool addClause(std::span<const Lit> literals) override;
@@ -198,23 +213,20 @@ class PortfolioSolver final : public SolverBase
     static SolverConfig instanceConfig(std::size_t index);
 
   private:
-    PortfolioOptions options;
     std::size_t instanceCount;
     std::size_t threadCount;
 
-    // Staged formula (before the instances are built).
-    std::size_t varCount = 0;
-    std::vector<std::vector<Lit>> pendingClauses;
+    /**
+     * Instance 0 from construction on; instances 1..N-1 once a
+     * racing portfolio has made its first solve.
+     */
+    std::vector<std::unique_ptr<Solver>> instances;
+    /** addClause() calls so far (see numClauses()). */
+    std::size_t clausesAdded = 0;
+    /** Warm-start hints replayed into instances 1..N-1. */
     std::vector<std::pair<Var, bool>> pendingPolarity;
     std::vector<std::pair<Var, double>> pendingActivity;
-    /** Values forced by staged unit clauses (conflict detection). */
-    std::vector<LBool> stagedUnits;
-    /** A staged clause was empty or contradicted a staged unit. */
-    bool stagedUnsat = false;
 
-    // Built state.
-    bool built = false;
-    std::vector<std::unique_ptr<Solver>> instances;
     std::unique_ptr<ClauseExchange> exchange;
     std::unique_ptr<ThreadPool> pool;
     std::vector<LBool> fullModel;
@@ -222,7 +234,9 @@ class PortfolioSolver final : public SolverBase
     mutable PortfolioStats portfolio;
     mutable SolverStats aggregateCache;
 
-    void build();
+    /** Every instance exists (always true with one instance). */
+    bool built() const { return instances.size() == instanceCount; }
+    void buildRacers();
     void checkIncrementalLits(std::span<const Lit> literals) const;
     void publishModel(const Solver &winner);
 };

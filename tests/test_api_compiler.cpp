@@ -318,32 +318,57 @@ TEST(CompilerService, AsyncFutureDeliversFailuresAsErrorResults)
     EXPECT_EQ(stats.ok, 0u);
 }
 
-TEST(CompilerService, IndependenceFamilyBeyondEightModesIsRefused)
+TEST(CompilerService, SatBeyondEightModesIsAnOrdinaryRequest)
 {
-    // The family has 4^N clauses: at 9 modes it would allocate
-    // about 1.6 GB before the deadline is ever polled. The request
-    // is refused up front instead, and the message names the limit
-    // and the way out.
+    // No strategy builds the 4^N independence family, so 9 modes
+    // under `sat` is a 29k-clause model that honours its budgets:
+    // about 0.2 s in Release and 0.7 s under ASan+UBSan Debug,
+    // where building the model alone takes 0.25 s. The family
+    // would allocate about 1.6 GB first; the bound leaves a loaded
+    // sanitizer runner room and still catches that.
     CompilerService service;
     CompilationRequest request = fastRequest(9, "sat");
-    const Timer timer;
-    const auto result = service.compile(request);
-    EXPECT_LT(timer.seconds(), 1.0);
-    EXPECT_EQ(result.status, ResultStatus::Error);
-    EXPECT_NE(result.statusMessage.find("limited to 8 modes"),
-              std::string::npos)
-        << result.statusMessage;
-    EXPECT_NE(result.statusMessage.find("sat-noalg"),
-              std::string::npos)
-        << result.statusMessage;
-
-    // Without the family the same size is an ordinary request.
-    request.strategy = "sat-noalg";
     request.stepTimeoutSeconds = 0.2;
     request.totalTimeoutSeconds = 0.2;
-    const auto noalg = service.compile(request);
-    EXPECT_EQ(noalg.status, ResultStatus::Ok) << noalg.statusMessage;
-    EXPECT_TRUE(noalg.validation.valid());
+    const Timer timer;
+    const auto result = service.compile(request);
+    EXPECT_LT(timer.seconds(), 2.0);
+    EXPECT_EQ(result.status, ResultStatus::Ok) << result.statusMessage;
+    EXPECT_TRUE(result.validation.valid());
+}
+
+TEST(CompilerService, SatBeyondThirtyTwoModesIsAUserError)
+{
+    // The wire admits 64 modes, but a Hamiltonian subset is a
+    // 64-bit mask over the 2N strings: past 32 modes the SAT
+    // strategies report the limit instead of panicking.
+    CompilerService service;
+    for (const char *strategy : {"sat", "sat-noalg"}) {
+        const auto result = service.compile(fastRequest(33, strategy));
+        EXPECT_EQ(result.status, ResultStatus::Error) << strategy;
+        EXPECT_NE(result.statusMessage.find("at most 32 modes"),
+                  std::string::npos)
+            << strategy << ": " << result.statusMessage;
+    }
+}
+
+TEST(Compiler, SatAndSatNoalgRunOneSearch)
+{
+    // `alg` changes no search: both names return the same
+    // deterministic descent, call for call.
+    Compiler compiler;
+    for (std::size_t modes = 2; modes <= 5; ++modes) {
+        const auto sat = compiler.compile(fastRequest(modes, "sat"));
+        const auto noalg =
+            compiler.compile(fastRequest(modes, "sat-noalg"));
+        ASSERT_EQ(sat.status, ResultStatus::Ok) << modes;
+        ASSERT_EQ(noalg.status, ResultStatus::Ok) << modes;
+        EXPECT_TRUE(sat.encoding.majoranas ==
+                    noalg.encoding.majoranas)
+            << modes << " modes";
+        EXPECT_EQ(sat.cost, noalg.cost) << modes << " modes";
+        EXPECT_EQ(sat.satCalls, noalg.satCalls) << modes << " modes";
+    }
 }
 
 TEST(CompilerService, LruEvictsLeastRecentlyUsed)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -103,6 +104,24 @@ TEST(DescentSolver, WithoutAlgebraicIndependenceMatches)
     // The reduced instance must be smaller.
     EXPECT_LT(reduced.numVars, full.numVars);
     EXPECT_LT(reduced.numClauses, full.numClauses);
+}
+
+TEST(DescentSolver, IndependenceFamilyBeyondEightModesIsFatal)
+{
+    // The family has 4^N clauses, about 1.6 GB of model at 9
+    // modes: the paper's Full SAT configuration refuses it before
+    // building it, and names the limit.
+    DescentOptions options = fastOptions();
+    options.algebraicIndependence = true;
+    DescentSolver solver(9, options);
+    try {
+        solver.solve();
+        ADD_FAILURE() << "9 modes with the family did not fail";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("limited to 8 modes"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(DescentSolver, HamiltonianDependentTwoSiteHubbard)

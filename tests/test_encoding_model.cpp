@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "core/encoding_model.h"
 #include "sat/solver.h"
 #include "encodings/linear.h"
@@ -62,6 +63,17 @@ TEST(EncodingModel, ModelsWithoutIndependenceFamilyAreIndependent)
         // One mode has a single vacuum-pairing model (X, Y).
         EXPECT_EQ(drawn, modes == 1 ? 1u : 10u) << "modes=" << modes;
     }
+}
+
+TEST(EncodingModel, MoreThanThirtyTwoModesIsAUserError)
+{
+    // A Hamiltonian subset is a 64-bit mask over the 2N strings:
+    // 33 modes is a request the model cannot express, reported as
+    // a fatal diagnostic rather than a library bug.
+    sat::Solver solver;
+    auto options = baseOptions(33, 1);
+    options.algebraicIndependence = false;
+    EXPECT_THROW(EncodingModel(solver, options), FatalError);
 }
 
 TEST(EncodingModel, BoundForbidsHeavySolutions)

@@ -181,30 +181,96 @@ TEST(PortfolioSolver, EveryVariableStaysUsableAfterTheFirstSolve)
     EXPECT_EQ(solver.solve(not_c), SolveStatus::Unsat);
 }
 
+/** Every SolverStats counter of `actual` equals `expected`'s. */
+void
+expectSameStats(const SolverStats &actual, const SolverStats &expected,
+                int round)
+{
+    EXPECT_EQ(actual.conflicts, expected.conflicts) << "round " << round;
+    EXPECT_EQ(actual.decisions, expected.decisions) << "round " << round;
+    EXPECT_EQ(actual.propagations, expected.propagations)
+        << "round " << round;
+    EXPECT_EQ(actual.restarts, expected.restarts) << "round " << round;
+    EXPECT_EQ(actual.learntLiterals, expected.learntLiterals)
+        << "round " << round;
+    EXPECT_EQ(actual.removedClauses, expected.removedClauses)
+        << "round " << round;
+    EXPECT_EQ(actual.sharedOut, expected.sharedOut) << "round " << round;
+    EXPECT_EQ(actual.sharedIn, expected.sharedIn) << "round " << round;
+    EXPECT_EQ(actual.garbageCollects, expected.garbageCollects)
+        << "round " << round;
+    EXPECT_EQ(actual.reclaimedWords, expected.reclaimedWords)
+        << "round " << round;
+    EXPECT_EQ(actual.clearedLearnts, expected.clearedLearnts)
+        << "round " << round;
+}
+
 TEST(PortfolioSolver, InstanceZeroMatchesPlainSolver)
 {
-    // The portfolio's instance 0 runs the stock configuration, so
-    // a 1-instance portfolio must agree with a plain Solver on
-    // status and model, call for call.
+    // The portfolio's instance 0 runs the stock configuration and
+    // takes every call as it arrives, so a 1-instance portfolio
+    // must agree with a plain Solver on status, model and
+    // SolverStats, call for call. The calls follow the descent's
+    // order: the clauses, then warm-start polarities and
+    // activities, then one bound unit between solves.
+    constexpr int vars = 40;
     Rng rng(314);
     for (int round = 0; round < 10; ++round) {
         Solver plain;
         PortfolioSolver portfolio(withInstances(1, 1));
         Rng plain_rng = rng.fork(round);
         Rng portfolio_rng = rng.fork(round);
-        const auto cnf_a = randomCnf(plain, 14, 58, plain_rng);
+        const auto cnf_a = randomCnf(plain, vars, 168, plain_rng);
         const auto cnf_b =
-            randomCnf(portfolio, 14, 58, portfolio_rng);
-        ASSERT_EQ(cnf_a.size(), cnf_b.size());
-        const SolveStatus expected = plain.solve();
-        ASSERT_EQ(portfolio.solve(), expected);
-        if (expected == SolveStatus::Sat) {
-            for (Var v = 0; v < 14; ++v)
+            randomCnf(portfolio, vars, 168, portfolio_rng);
+        ASSERT_EQ(cnf_a, cnf_b);
+
+        Rng hint_rng = rng.fork(1000 + round);
+        for (Var v = 0; v < vars; ++v) {
+            const bool phase = hint_rng.nextBool();
+            plain.setPolarity(v, phase);
+            portfolio.setPolarity(v, phase);
+        }
+        for (Var v = 0; v < vars; v += 3) {
+            plain.boostActivity(v, 1.0);
+            portfolio.boostActivity(v, 1.0);
+        }
+
+        for (int step = 0; step < 8; ++step) {
+            const SolveStatus expected = plain.solve();
+            ASSERT_EQ(portfolio.solve(), expected)
+                << "round " << round << " step " << step;
+            expectSameStats(portfolio.stats(), plain.stats(), round);
+            if (expected != SolveStatus::Sat)
+                break;
+            for (Var v = 0; v < vars; ++v)
                 EXPECT_EQ(portfolio.modelValue(v),
                           plain.modelValue(v))
                     << "round " << round << " var " << v;
+            // A bound unit: forbid one variable's current value.
+            const Var bound = static_cast<Var>((7 * step) % vars);
+            const Lit unit = mkLit(
+                bound, plain.modelValue(bound) == LBool::True);
+            EXPECT_EQ(portfolio.addClause({unit}),
+                      plain.addClause({unit}));
         }
     }
+}
+
+TEST(PortfolioSolver, LevelZeroConflictIsReportedAtAddTime)
+{
+    // Every clause reaches instance 0 as it arrives and is
+    // propagated at level 0 there, so a conflict that only
+    // propagation finds is reported by the clause that causes it,
+    // before any solve — by a racing portfolio too.
+    PortfolioSolver solver(withInstances(2, 1));
+    const Var a = solver.newVar();
+    const Var b = solver.newVar();
+    EXPECT_TRUE(solver.addClause({mkLit(a)}));
+    EXPECT_TRUE(solver.addClause({~mkLit(a), mkLit(b)}));
+    EXPECT_FALSE(solver.addClause({~mkLit(b)}));
+    EXPECT_TRUE(solver.inconsistent());
+    EXPECT_EQ(solver.solve(), SolveStatus::Unsat);
 }
 
 TEST(PortfolioSolver, RacingModeAgreesOnVerdict)
