@@ -163,13 +163,19 @@ applyProgressFlag(OptionsOrRequest &target)
         target.progress = progressPrinter();
 }
 
-/** Descent options for one of the paper's configurations. */
+/**
+ * Descent options for one of the paper's configurations: Algorithm
+ * 1 from Bravyi-Kitaev (the paper's w0), without the paired-tree
+ * start that would prove every total-weight row before its first
+ * SAT step.
+ */
 inline core::DescentOptions
 descentOptions(Config config, double step_timeout,
                double total_timeout, bool vacuum = true)
 {
     core::DescentOptions options;
     options.algebraicIndependence = config == Config::FullSat;
+    options.pairedTreeStart = false;
     options.vacuumPreservation = vacuum;
     options.stepTimeoutSeconds = step_timeout;
     options.totalTimeoutSeconds = total_timeout;

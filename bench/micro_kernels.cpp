@@ -364,8 +364,9 @@ void
 BM_DescentSolve(benchmark::State &state)
 {
     // Wall-clock of a full Algorithm 1 descent (N=3, full SAT,
-    // deterministic).
+    // deterministic, from Bravyi-Kitaev).
     core::DescentOptions options;
+    options.pairedTreeStart = false;
     options.stepTimeoutSeconds = 30.0;
     options.totalTimeoutSeconds = 60.0;
     std::size_t cost = 0;

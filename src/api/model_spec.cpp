@@ -101,6 +101,16 @@ applyModelSpec(std::string_view spec, CompilationRequest &request,
                           "-qubit ceiling");
         return true;
     };
+    // The Hamiltonian families stop below the qubit ceiling, at the
+    // Majorana-mask width FermionHamiltonian enforces.
+    const auto checkHamiltonianModes = [&](std::size_t modes) {
+        if (modes <= fermion::FermionHamiltonian::maxModes)
+            return true;
+        return reject(
+            std::to_string(modes) + " modes exceed a Hamiltonian's " +
+            std::to_string(fermion::FermionHamiltonian::maxModes) +
+            "-mode limit");
+    };
 
     const std::size_t colon = spec.find(':');
     const std::string_view family = spec.substr(0, colon);
@@ -129,7 +139,7 @@ applyModelSpec(std::string_view spec, CompilationRequest &request,
         const auto sites = parseCount(args);
         if (!sites || *sites < 2)
             return reject("expected hubbard1d:<sites >= 2>");
-        if (!checkModes(2 * *sites))
+        if (!checkHamiltonianModes(2 * *sites))
             return false;
         request.hamiltonian = fermion::fermiHubbard1D(
             *sites, kHubbardT, kHubbardU);
@@ -143,7 +153,7 @@ applyModelSpec(std::string_view spec, CompilationRequest &request,
         const std::size_t sites = length * width;
         if (sites < 2)
             return reject("lattice needs at least 2 sites");
-        if (!checkModes(2 * sites))
+        if (!checkHamiltonianModes(2 * sites))
             return false;
         request.hamiltonian = fermion::fermiHubbard(
             sites, hubbardLatticeEdges(length, width),
@@ -162,7 +172,7 @@ applyModelSpec(std::string_view spec, CompilationRequest &request,
         }
         if (!modes || *modes < 2)
             return reject("expected syk:<modes >= 2>");
-        if (!checkModes(*modes))
+        if (!checkHamiltonianModes(*modes))
             return false;
         Rng rng(seed);
         request.hamiltonian = fermion::sykModel(*modes, rng);

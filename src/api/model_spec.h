@@ -24,8 +24,9 @@
  *    makes a spec a valid cache-warming unit — the daemon's store
  *    key depends only on what the spec names.
  *  - tryParseModelSpec()/tryBuildRequest() reject rather than
- *    clamp: a malformed spec or one whose mode count exceeds
- *    pauli::PauliString::maxQubits returns nullopt with a
+ *    clamp: a malformed spec, a `modes:N` past
+ *    pauli::PauliString::maxQubits, or a Hamiltonian family past
+ *    fermion::FermionHamiltonian::maxModes returns nullopt with a
  *    diagnostic in *error, never a silently altered problem.
  *  - expandWarmSpec() is fatal on malformed input (it parses
  *    operator-written flags, not peer bytes) and expands ranges in

@@ -33,14 +33,14 @@ DescentSolver::makeSolver() const
 }
 
 std::size_t
-DescentSolver::baselineCost(const enc::FermionEncoding &bk) const
+DescentSolver::objectiveCost(const enc::FermionEncoding &encoding) const
 {
     if (structure.empty())
-        return bk.totalWeight();
+        return encoding.totalWeight();
     std::size_t total = 0;
     for (const auto &subset : structure) {
         total += subset.multiplicity *
-                 enc::majoranaProduct(bk, subset.mask).weight();
+                 enc::majoranaProduct(encoding, subset.mask).weight();
     }
     return total;
 }
@@ -53,36 +53,44 @@ DescentSolver::solve()
     if (run_span.active())
         run_span.arg("modes", modes);
     DescentResult result;
+    const auto finish = [&]() -> const DescentResult & {
+        if (run_span.active()) {
+            run_span.arg("cost", result.cost);
+            run_span.arg("sat_calls", result.satCalls);
+            run_span.arg("proved_optimal", result.provedOptimal);
+        }
+        lastResult = result;
+        return result;
+    };
 
     const enc::FermionEncoding bk = enc::bravyiKitaev(modes);
-    result.baselineCost = baselineCost(bk);
+    result.baselineCost = objectiveCost(bk);
 
     // Start from the cheapest encoding that satisfies the active
-    // constraints. BK always does; the ternary tree lacks the X/Y
-    // vacuum pairing, so it only qualifies when that (optional,
-    // Sec. 3.1) constraint is relaxed.
+    // constraints; ties keep the earlier candidate. BK and the
+    // paired ternary tree always qualify. The plain ternary tree
+    // lacks the X/Y vacuum pairing, so it only qualifies when that
+    // (optional, Sec. 3.1) constraint is relaxed.
     enc::FermionEncoding start = bk;
     std::size_t start_cost = result.baselineCost;
-    if (!options.vacuumPreservation) {
-        const enc::FermionEncoding tt = enc::ternaryTree(modes);
-        const std::size_t tt_cost = baselineCost(tt);
-        if (tt_cost < start_cost) {
-            start = tt;
-            start_cost = tt_cost;
+    const auto consider = [&](const enc::FermionEncoding &candidate) {
+        const std::size_t cost = objectiveCost(candidate);
+        if (cost < start_cost) {
+            start = candidate;
+            start_cost = cost;
         }
-    }
+    };
+    if (options.pairedTreeStart)
+        consider(enc::pairedTernaryTree(modes));
+    if (!options.vacuumPreservation)
+        consider(enc::ternaryTree(modes));
     if (options.seedEncoding &&
         options.seedEncoding->modes == modes) {
-        const auto &seed = *options.seedEncoding;
-        const auto validation = enc::validateEncoding(seed);
-        const bool feasible =
-            validation.valid() &&
-            (!options.vacuumPreservation || validation.xyPairing);
-        const std::size_t seed_cost = baselineCost(seed);
-        if (feasible && seed_cost < start_cost) {
-            start = seed;
-            start_cost = seed_cost;
-        }
+        const auto validation =
+            enc::validateEncoding(*options.seedEncoding);
+        if (validation.valid() &&
+            (!options.vacuumPreservation || validation.xyPairing))
+            consider(*options.seedEncoding);
     }
     // The starting encoding is itself feasible at start_cost, so
     // the descent can begin by asking for strictly less.
@@ -103,13 +111,20 @@ DescentSolver::solve()
         result.termination = stop_requested()
                                  ? DescentTermination::Cancelled
                                  : DescentTermination::BudgetExhausted;
-        if (run_span.active()) {
-            run_span.arg("cost", result.cost);
-            run_span.arg("sat_calls", result.satCalls);
-            run_span.arg("proved_optimal", result.provedOptimal);
-        }
-        lastResult = result;
-        return result;
+        return finish();
+    }
+
+    // A total-weight search ends at the Pauli-weight lower bound,
+    // where a cheaper encoding cannot exist; no sound bound is known
+    // for Eq. 14. A start already at that floor is the proved answer,
+    // and needs neither a solver nor a model. Algorithm 1 as the
+    // paper runs it (pairedTreeStart off) still builds the model,
+    // whose size the paper's figures report.
+    const std::size_t floor =
+        structure.empty() ? enc::totalWeightLowerBound(modes) : 0;
+    if (options.pairedTreeStart && start_cost <= floor) {
+        result.provedOptimal = true;
+        return finish();
     }
 
     // Building the model loads it into the solver clause by clause,
@@ -119,7 +134,7 @@ DescentSolver::solve()
     EncodingModelOptions model_options;
     model_options.modes = modes;
     model_options.algebraicIndependence =
-        options.algebraicIndependence;
+        options.algebraicIndependence && structure.empty();
     model_options.vacuumPreservation = options.vacuumPreservation;
     model_options.hamiltonianStructure = structure;
     model_options.costCap = std::max<std::size_t>(start_cost, 1);
@@ -131,11 +146,9 @@ DescentSolver::solve()
     result.numClauses = solver->numClauses();
 
     // Descent loop (Algorithm 1): each round permanently bounds the
-    // cost one below the best known solution. A total-weight search
-    // also ends at the Pauli-weight lower bound, where a cheaper
-    // encoding cannot exist; no sound bound is known for Eq. 14.
-    const std::size_t floor =
-        structure.empty() ? enc::totalWeightLowerBound(modes) : 0;
+    // cost one below the best known solution, until it reaches the
+    // floor. The total budget counts from solve() entry, so the
+    // model build above spends it too.
     std::size_t best = start_cost;
     auto &step_seconds = telemetry::MetricsRegistry::global()
                              .histogram("descent.step_seconds");
@@ -145,9 +158,8 @@ DescentSolver::solve()
             result.termination = DescentTermination::Cancelled;
             break;
         }
-        const double elapsed = solve_timer.seconds();
         const double remaining =
-            options.totalTimeoutSeconds - elapsed;
+            options.totalTimeoutSeconds - total_timer.seconds();
         if (remaining <= 0) {
             result.termination =
                 DescentTermination::BudgetExhausted;
@@ -216,7 +228,7 @@ DescentSolver::solve()
             report.bound = asked;
             report.bestCost = result.cost;
             report.satCalls = result.satCalls;
-            report.elapsedSeconds = solve_timer.seconds();
+            report.elapsedSeconds = total_timer.seconds();
             report.status = status;
             report.conflicts =
                 solver->portfolioStats().aggregate.conflicts;
@@ -229,13 +241,7 @@ DescentSolver::solve()
         result.provedOptimal = true;
     result.solveSeconds = solve_timer.seconds();
     result.satStats = solver->portfolioStats();
-    if (run_span.active()) {
-        run_span.arg("cost", result.cost);
-        run_span.arg("sat_calls", result.satCalls);
-        run_span.arg("proved_optimal", result.provedOptimal);
-    }
-    lastResult = result;
-    return result;
+    return finish();
 }
 
 std::vector<enc::FermionEncoding>
@@ -249,19 +255,18 @@ DescentSolver::enumerateOptimal(std::size_t count,
         fatal("DescentSolver::enumerateOptimal() requires a "
               "completed solve() first (documented precondition)");
     std::vector<enc::FermionEncoding> encodings;
-    if (lastResult->cost == 0 || !model)
+    if (lastResult->cost == 0)
         return encodings;
 
-    // Relax the bound back to the optimum (the descent left a bound
-    // of best - 1 asserted, so re-solve at exactly `cost` using the
-    // assumption-free model with a fresh solver would be costly;
-    // instead rebuild once at the optimal bound).
+    // Build a model at exactly the best cost: the descent's model,
+    // if it built one, carries a permanent bound of best - 1, and a
+    // start that was already proved built none.
     Timer timer;
     solver = makeSolver();
     EncodingModelOptions model_options;
     model_options.modes = modes;
     model_options.algebraicIndependence =
-        options.algebraicIndependence;
+        options.algebraicIndependence && structure.empty();
     model_options.vacuumPreservation = options.vacuumPreservation;
     model_options.hamiltonianStructure = structure;
     model_options.costCap =

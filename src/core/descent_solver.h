@@ -2,16 +2,22 @@
  * @file
  * Algorithm 1: descend on the Pauli-weight bound with a SAT solver.
  *
- * The solver starts from the Bravyi-Kitaev cost (the paper's w0),
- * warm-starts the CDCL phases at the BK solution, and repeatedly
- * asks for an encoding strictly cheaper than the best found so far,
+ * The solver starts from the cheapest of its start candidates under
+ * the run's objective: Bravyi-Kitaev (the paper's w0), the
+ * vacuum-paired ternary tree (DescentOptions::pairedTreeStart), the
+ * plain ternary tree when vacuum pairing is off, and the caller's
+ * seed. It warm-starts the CDCL phases there and repeatedly asks
+ * for an encoding strictly cheaper than the best found so far,
  * tightening the totalizer bound by one unit clause per round. The
  * loop ends with a proof of optimality or when the per-step or
  * total budget expires (the paper's timeout termination). A proof
  * is an UNSAT answer at best - 1 or, for the total-weight objective
  * only, a best cost that reached enc::totalWeightLowerBound: there
  * no cheaper encoding exists, so the loop stops without the last
- * SAT call the paper's Algorithm 1 would spend refuting one.
+ * SAT call the paper's Algorithm 1 would spend refuting one. The
+ * paired tree meets that bound at every N, so with it a
+ * total-weight descent starts proved: solve() returns it with no
+ * solver, no model and no SAT call.
  *
  * Three configurations correspond to the paper's experiments:
  *  - Full SAT: all constraints, Ham.-independent or -dependent cost;
@@ -20,9 +26,10 @@
  *    pairing of Algorithm 2 (annealing.h).
  *
  * Key invariants:
- *  - solve() always returns a valid encoding: the Bravyi-Kitaev
- *    baseline is feasible by construction, so even a zero budget
- *    yields DescentResult::encoding with cost == baselineCost.
+ *  - solve() always returns a valid encoding: every start
+ *    candidate is feasible by construction (a seed once
+ *    validateEncoding() accepts it), so even a zero budget yields
+ *    the cheapest start, at cost <= baselineCost.
  *  - result.cost is exact under the run's objective and equals
  *    costOf(result.encoding); provedOptimal is set only on a true
  *    UNSAT at cost - 1 or when cost reached
@@ -152,9 +159,22 @@ struct DescentOptions : EngineOptions
      * paper's Full SAT; fatal beyond 8 modes). They never remove a
      * model, because anticommuting strings are always independent,
      * so only the paper's figures that plot them set this: every
-     * api strategy runs with it off.
+     * api strategy runs with it off. It applies to total-weight
+     * descents only; an Eq. 14 descent never builds the family.
      */
     bool algebraicIndependence = true;
+
+    /**
+     * Add enc::pairedTernaryTree() to the start candidates, and
+     * return a start that already sits at the floor without
+     * building a solver or a model. The tree keeps the X/Y pairing
+     * and meets enc::totalWeightLowerBound at every N, so a
+     * total-weight descent ends proved before any SAT work; under
+     * Eq. 14 it competes on cost like the other starts. Off =
+     * Algorithm 1 from the paper's w0 (Bravyi-Kitaev), model build
+     * included, which the paper's figures time.
+     */
+    bool pairedTreeStart = true;
 
     /** Keep the vacuum X/Y-pairing clauses. */
     bool vacuumPreservation = true;
@@ -165,7 +185,10 @@ struct DescentOptions : EngineOptions
     /** Wall-clock budget for each individual SAT call (seconds). */
     double stepTimeoutSeconds = 30.0;
 
-    /** Wall-clock budget for the whole descent (seconds). */
+    /**
+     * Wall-clock budget for the whole descent (seconds), counted
+     * from solve() entry, so building the model spends it too.
+     */
     double totalTimeoutSeconds = 300.0;
 
     /**
@@ -200,7 +223,7 @@ struct DescentOptions : EngineOptions
 /** Result of a descent run. */
 struct DescentResult
 {
-    /** Best encoding found (the baseline when SAT never improved). */
+    /** Best encoding found (the start when SAT never improved). */
     enc::FermionEncoding encoding;
 
     /** Cost of `encoding` under the run's objective. */
@@ -224,7 +247,8 @@ struct DescentResult
     /**
      * Wall-clock split between building and solving the model.
      * Building includes loading it into the solver, which takes
-     * each clause as the model emits it.
+     * each clause as the model emits it. Both stay 0 when the start
+     * was already proved and no model was built.
      */
     double constructSeconds = 0.0;
     double solveSeconds = 0.0;
@@ -278,7 +302,8 @@ class DescentSolver
 
     std::unique_ptr<sat::PortfolioSolver> makeSolver() const;
 
-    std::size_t baselineCost(const enc::FermionEncoding &bk) const;
+    /** `encoding`'s cost under the run's objective. */
+    std::size_t objectiveCost(const enc::FermionEncoding &encoding) const;
 };
 
 } // namespace fermihedral::core

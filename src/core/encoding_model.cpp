@@ -14,8 +14,9 @@ EncodingModel::EncodingModel(sat::SolverBase &solver,
     : solver(solver), formula(solver), options(options)
 {
     require(options.modes >= 1, "EncodingModel needs a mode");
-    if (options.modes > 32) {
-        fatal("SAT search supports at most 32 modes (got ",
+    if (options.modes > fermion::FermionHamiltonian::maxModes) {
+        fatal("SAT search supports at most ",
+              fermion::FermionHamiltonian::maxModes, " modes (got ",
               options.modes, "): a Hamiltonian subset is a 64-bit "
               "mask over the 2N Majorana strings");
     }

@@ -23,8 +23,9 @@
  *    descent of Algorithm 1 tightens the bound by unit clauses.
  *
  * Key invariants:
- *  - The model supports 1..32 modes (a Hamiltonian subset is a
- *    64-bit mask over the 2N strings); more is a fatal diagnostic.
+ *  - The model supports 1..fermion::FermionHamiltonian::maxModes
+ *    (32) modes: a Hamiltonian subset is a 64-bit mask over the 2N
+ *    strings. More is a fatal diagnostic.
  *  - All constraints are built into the solver by the constructor;
  *    afterwards the model only reads literals, asserts bounds and
  *    decodes. The solver must outlive the model. Any SolverBase

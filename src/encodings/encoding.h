@@ -129,9 +129,12 @@ EncodingValidation validateEncoding(const FermionEncoding &encoding);
  *
  * Only anticommutativity is used, so the bound holds with or
  * without algebraic independence and vacuum pairing. It is tight
- * wherever the total-weight descent has been run to a proof
- * (2, 6, 11, 16, 22, 29 and 36 for N = 1..7), and the ternary tree
- * meets it at N = 1, 4 and 13.
+ * at every N, with vacuum pairing too: pairedTernaryTree()
+ * (ternary_tree.h) meets it, because a heap-shaped ternary tree
+ * that drops a deepest leaf is a ternary Huffman tree over 2N equal
+ * weights plus one dummy leaf, and its two strings per mode differ
+ * only in X vs Y at that mode's node and in Z-only tails. The plain
+ * ternaryTree() meets it only at N = 1, 4 and 13.
  */
 std::size_t totalWeightLowerBound(std::size_t modes);
 

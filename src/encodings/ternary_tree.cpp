@@ -28,6 +28,10 @@ walk(std::size_t node, std::size_t modes, pauli::PauliString &path,
     }
 }
 
+/** Branch labels of pairedTernaryTree(): child 3i+1+b gets op b. */
+constexpr pauli::PauliOp pairedBranchOps[3] = {
+    pauli::PauliOp::Z, pauli::PauliOp::X, pauli::PauliOp::Y};
+
 } // namespace
 
 FermionEncoding
@@ -49,6 +53,33 @@ ternaryTree(std::size_t modes)
     FermionEncoding encoding;
     encoding.modes = modes;
     encoding.majoranas = std::move(paths);
+    return encoding;
+}
+
+FermionEncoding
+pairedTernaryTree(std::size_t modes)
+{
+    require(modes >= 1 && modes <= 64,
+            "pairedTernaryTree supports 1..64 modes");
+    FermionEncoding encoding;
+    encoding.modes = modes;
+    encoding.majoranas.reserve(2 * modes);
+    for (std::size_t q = 0; q < modes; ++q) {
+        // The path from the root down to node q.
+        pauli::PauliString above(modes);
+        for (std::size_t node = q; node > 0; node = (node - 1) / 3)
+            above.setOp((node - 1) / 3, pairedBranchOps[(node - 1) % 3]);
+        // Leave q by its X branch (Majorana 2q), then its Y branch
+        // (2q+1), and follow that child's Z-spine to a leaf.
+        for (std::size_t branch = 1; branch <= 2; ++branch) {
+            pauli::PauliString leaf = above;
+            leaf.setOp(q, pairedBranchOps[branch]);
+            for (std::size_t node = 3 * q + 1 + branch; node < modes;
+                 node = 3 * node + 1)
+                leaf.setOp(node, pauli::PauliOp::Z);
+            encoding.majoranas.push_back(leaf);
+        }
+    }
     return encoding;
 }
 

@@ -10,8 +10,9 @@ namespace fermihedral::fermion {
 FermionHamiltonian::FermionHamiltonian(std::size_t modes)
     : numModes(modes)
 {
-    require(modes >= 1 && modes <= 32,
-            "FermionHamiltonian supports 1..32 modes, got ", modes);
+    require(modes >= 1 && modes <= maxModes,
+            "FermionHamiltonian supports 1..", maxModes,
+            " modes, got ", modes);
 }
 
 void

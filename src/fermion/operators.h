@@ -98,7 +98,13 @@ struct WeightedSubset
 class FermionHamiltonian
 {
   public:
-    /** Empty Hamiltonian on `modes` Fermionic modes. */
+    /**
+     * Most modes a Hamiltonian may have: a Majorana subset is a
+     * 64-bit mask over the 2N operators.
+     */
+    static constexpr std::size_t maxModes = 32;
+
+    /** Empty Hamiltonian on 1..maxModes Fermionic modes. */
     explicit FermionHamiltonian(std::size_t modes);
 
     std::size_t modes() const { return numModes; }

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "api/model_spec.h"
 #include "api/serialize.h"
 #include "api/service.h"
 #include "api/strategy_registry.h"
@@ -137,12 +138,16 @@ TEST(Compiler, ClosedFormStrategiesMatchTheirBuilders)
 
 TEST(Compiler, SatStrategyFindsTheProvedOptimum)
 {
+    // A total-weight descent starts at the paired ternary tree,
+    // which meets the lower bound: proved without a SAT call.
     Compiler compiler;
     const auto result = compiler.compile(fastRequest(2, "sat"));
     EXPECT_TRUE(result.provedOptimal);
     EXPECT_LE(result.cost, result.baselineCost);
-    EXPECT_GT(result.satCalls, 0u);
+    EXPECT_EQ(result.cost, enc::totalWeightLowerBound(2));
+    EXPECT_EQ(result.satCalls, 0u);
     EXPECT_TRUE(result.validation.valid());
+    EXPECT_TRUE(result.validation.xyPairing);
     EXPECT_EQ(result.cost, result.encoding.totalWeight());
 }
 
@@ -198,8 +203,13 @@ TEST(Compiler, ObjectiveMismatchIsFatal)
 
 TEST(CompilerService, WarmCacheHitIsBitIdenticalWithoutSat)
 {
+    // An Eq. 14 request, so that the cold compile makes SAT calls
+    // (a total-weight one is proved without any).
     CompilerService service;
-    const CompilationRequest request = fastRequest(2, "sat");
+    CompilationRequest request = fastRequest(0, "sat");
+    request.hamiltonian = fermion::fermiHubbard1D(2, 1.0, 4.0);
+    request.stepTimeoutSeconds = 0.2;
+    request.totalTimeoutSeconds = 0.5;
 
     const auto cold = service.compile(request);
     ASSERT_FALSE(cold.fromCache);
@@ -320,12 +330,11 @@ TEST(CompilerService, AsyncFutureDeliversFailuresAsErrorResults)
 
 TEST(CompilerService, SatBeyondEightModesIsAnOrdinaryRequest)
 {
-    // No strategy builds the 4^N independence family, so 9 modes
-    // under `sat` is a 29k-clause model that honours its budgets:
-    // about 0.2 s in Release and 0.7 s under ASan+UBSan Debug,
-    // where building the model alone takes 0.25 s. The family
-    // would allocate about 1.6 GB first; the bound leaves a loaded
-    // sanitizer runner room and still catches that.
+    // No strategy builds the 4^N independence family, which would
+    // allocate about 1.6 GB at 9 modes, and a total-weight `sat`
+    // request is now answered at the bound with no model at all.
+    // The time bound leaves a loaded sanitizer runner room and
+    // still catches a family build.
     CompilerService service;
     CompilationRequest request = fastRequest(9, "sat");
     request.stepTimeoutSeconds = 0.2;
@@ -337,18 +346,62 @@ TEST(CompilerService, SatBeyondEightModesIsAnOrdinaryRequest)
     EXPECT_TRUE(result.validation.valid());
 }
 
-TEST(CompilerService, SatBeyondThirtyTwoModesIsAUserError)
+TEST(Compiler, TotalWeightSatIsProvedAtEveryModeCount)
 {
-    // The wire admits 64 modes, but a Hamiltonian subset is a
-    // 64-bit mask over the 2N strings: past 32 modes the SAT
-    // strategies report the limit instead of panicking.
-    CompilerService service;
-    for (const char *strategy : {"sat", "sat-noalg"}) {
-        const auto result = service.compile(fastRequest(33, strategy));
-        EXPECT_EQ(result.status, ResultStatus::Error) << strategy;
-        EXPECT_NE(result.statusMessage.find("at most 32 modes"),
-                  std::string::npos)
-            << strategy << ": " << result.statusMessage;
+    // Every `modes:N` the wire admits, past the SAT model's 32-mode
+    // limit too, is answered at the lower bound without a SAT call.
+    // The budgets are the benchmark's frontier items' (0.6 s steps,
+    // 20 s in all), under which Algorithm 1 from Bravyi-Kitaev
+    // stops modes:7@sat-noalg unproved at 38 against a bound of 36.
+    Compiler compiler;
+    for (std::size_t modes = 1; modes <= pauli::PauliString::maxQubits;
+         ++modes) {
+        for (const char *strategy : {"sat", "sat-noalg"}) {
+            RequestSpec spec;
+            spec.problem = "modes:" + std::to_string(modes);
+            spec.strategy = strategy;
+            spec.stepTimeoutSeconds = 0.6;
+            spec.totalTimeoutSeconds = 20.0;
+            const auto result = compiler.compile(buildRequest(spec));
+            ASSERT_EQ(result.status, ResultStatus::Ok)
+                << spec.problem << "@" << strategy << ": "
+                << result.statusMessage;
+            EXPECT_TRUE(result.provedOptimal)
+                << spec.problem << "@" << strategy;
+            EXPECT_EQ(result.satCalls, 0u)
+                << spec.problem << "@" << strategy;
+            EXPECT_EQ(result.cost, enc::totalWeightLowerBound(modes))
+                << spec.problem << "@" << strategy;
+        }
+    }
+}
+
+TEST(ModelSpec, HamiltonianFamiliesStopAtThirtyTwoModes)
+{
+    // A Hamiltonian's Majorana subsets are 64-bit masks: its
+    // families are rejected past 32 modes while the spec is parsed
+    // (FermionHamiltonian would otherwise panic), though `modes:N`
+    // goes on to the 64-qubit ceiling.
+    for (const char *problem :
+         {"hubbard1d:17", "hubbard:4x5", "hubbard:1x17", "syk:33",
+          "syk:40"}) {
+        RequestSpec spec;
+        spec.problem = problem;
+        spec.strategy = "bravyi-kitaev";
+        std::string error;
+        EXPECT_FALSE(tryBuildRequest(spec, &error).has_value())
+            << problem;
+        EXPECT_NE(error.find("32-mode limit"), std::string::npos)
+            << problem << ": " << error;
+    }
+    for (const char *problem : {"hubbard1d:16", "hubbard:4x4",
+                                "modes:33", "modes:64"}) {
+        RequestSpec spec;
+        spec.problem = problem;
+        spec.strategy = "bravyi-kitaev";
+        std::string error;
+        EXPECT_TRUE(tryBuildRequest(spec, &error).has_value())
+            << problem << ": " << error;
     }
 }
 

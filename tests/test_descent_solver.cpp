@@ -27,6 +27,19 @@ fastOptions()
 }
 
 /**
+ * Algorithm 1 from Bravyi-Kitaev, for the tests of its SAT steps:
+ * the default paired-tree start proves every total-weight descent
+ * before the first step.
+ */
+DescentOptions
+fromBravyiKitaev()
+{
+    DescentOptions options = fastOptions();
+    options.pairedTreeStart = false;
+    return options;
+}
+
+/**
  * Spinless t-V model on three sites, an open chain or a ring:
  * hopping plus nearest-neighbour density interaction. Under the
  * Eq. 14 objective, where the descent has no lower bound to stop
@@ -94,8 +107,8 @@ TEST(DescentSolver, WithoutAlgebraicIndependenceMatches)
 {
     // Section 4.1: dropping the constraint rarely changes the
     // optimum; at N = 2 the optimal weight must agree.
-    DescentOptions with = fastOptions();
-    DescentOptions without = fastOptions();
+    DescentOptions with = fromBravyiKitaev();
+    DescentOptions without = fromBravyiKitaev();
     without.algebraicIndependence = false;
 
     const auto full = DescentSolver(2, with).solve();
@@ -111,7 +124,7 @@ TEST(DescentSolver, IndependenceFamilyBeyondEightModesIsFatal)
     // The family has 4^N clauses, about 1.6 GB of model at 9
     // modes: the paper's Full SAT configuration refuses it before
     // building it, and names the limit.
-    DescentOptions options = fastOptions();
+    DescentOptions options = fromBravyiKitaev();
     options.algebraicIndependence = true;
     DescentSolver solver(9, options);
     try {
@@ -139,11 +152,48 @@ TEST(DescentSolver, HamiltonianDependentTwoSiteHubbard)
               enc::hamiltonianPauliWeight(h, result.encoding));
 }
 
+TEST(DescentSolver, EquationFourteenDescentIgnoresIndependenceFamily)
+{
+    // The family applies to total-weight descents only: h2's Eq. 14
+    // descent builds the same model with the flag on or off. The
+    // 1 ms budget ends both runs right after the build.
+    const auto h = fermion::h2Sto3gIntegrals().toHamiltonian();
+    DescentOptions with = fastOptions();
+    with.totalTimeoutSeconds = 1e-3;
+    with.algebraicIndependence = true;
+    DescentOptions without = with;
+    without.algebraicIndependence = false;
+
+    const auto family = DescentSolver(h, with).solve();
+    const auto plain = DescentSolver(h, without).solve();
+    EXPECT_GT(plain.numClauses, 0u);
+    EXPECT_EQ(family.numVars, plain.numVars);
+    EXPECT_EQ(family.numClauses, plain.numClauses);
+}
+
+TEST(DescentSolver, TotalBudgetCountsTheModelBuild)
+{
+    // h2's Eq. 14 model takes far longer than 1 ms to build, and
+    // the total budget counts from solve() entry: it is spent before
+    // the first SAT step, and the descent answers its start.
+    const auto h = fermion::h2Sto3gIntegrals().toHamiltonian();
+    DescentOptions options = fastOptions();
+    options.totalTimeoutSeconds = 1e-3;
+    const auto result = DescentSolver(h, options).solve();
+    EXPECT_GT(result.numClauses, 0u);
+    EXPECT_EQ(result.satCalls, 0u);
+    EXPECT_EQ(result.termination, DescentTermination::BudgetExhausted);
+    EXPECT_FALSE(result.provedOptimal);
+    EXPECT_LE(result.cost, result.baselineCost);
+    EXPECT_EQ(result.cost,
+              enc::hamiltonianPauliWeight(h, result.encoding));
+}
+
 TEST(DescentSolver, TrajectoryIsMonotoneDecreasing)
 {
     // N = 4 improves three times (20, 19, 16) on its way from
     // Bravyi-Kitaev's 21 to the lower bound.
-    DescentSolver solver(4, fastOptions());
+    DescentSolver solver(4, fromBravyiKitaev());
     const auto result = solver.solve();
     EXPECT_GE(result.trajectory.size(), 2u);
     for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
@@ -171,7 +221,7 @@ TEST(DescentSolver, PortfolioDeterministicAcrossThreadCounts)
     // and portfolioInstances ask for: the descent result — cost,
     // optimality proof, SAT calls and the exact encoding — is the
     // default run's as long as no step times out.
-    DescentOptions base = fastOptions();
+    DescentOptions base = fromBravyiKitaev();
     base.deterministic = true;
     // Bit-identity requires budgets that never bind; the N=4 steps
     // take milliseconds, but sanitizer CI runs everything 10x
@@ -204,13 +254,13 @@ TEST(DescentSolver, PortfolioDeterministicAcrossThreadCounts)
 
 TEST(DescentSolver, RacingPortfolioFindsSameOptimum)
 {
-    DescentOptions options = fastOptions();
+    DescentOptions options = fromBravyiKitaev();
     options.portfolioInstances = 3;
     options.threads = 3;
     options.deterministic = false;
 
     const auto racing = DescentSolver(2, options).solve();
-    const auto plain = DescentSolver(2, fastOptions()).solve();
+    const auto plain = DescentSolver(2, fromBravyiKitaev()).solve();
     // Arbitration may pick different optimal encodings, but the
     // optimum and its proof are unique.
     EXPECT_EQ(racing.cost, plain.cost);

@@ -65,6 +65,23 @@ class NetDaemonTest : public ::testing::Test
 
 int NetDaemonTest::counter = 0;
 
+/**
+ * hubbard:1x2 under `sat` with 120 s budgets: its Eq. 14 descent
+ * builds a 13.5k-clause model in about a millisecond and stays
+ * unproved for seconds, so it is in flight whenever a CANCEL, a
+ * deadline or a shutdown reaches it.
+ */
+api::RequestSpec
+longSearchSpec()
+{
+    api::RequestSpec spec;
+    spec.problem = "hubbard:1x2";
+    spec.strategy = "sat";
+    spec.stepTimeoutSeconds = 120.0;
+    spec.totalTimeoutSeconds = 120.0;
+    return spec;
+}
+
 /** An EncodingServer running its loop on a background thread. */
 class RunningDaemon
 {
@@ -124,15 +141,9 @@ TEST_F(NetDaemonTest, CancelInFlightOverTheSocket)
     RunningDaemon daemon(options);
     EncodingClient client = EncodingClient::overUnix(socketPath());
 
-    // A search far too large to finish: 16 Majorana operators keep
-    // the SAT descent busy for minutes, so the CANCEL lands while
+    // A search far too long to finish, so the CANCEL lands while
     // the solve is genuinely in flight.
-    api::RequestSpec spec;
-    spec.problem = "modes:8";
-    spec.strategy = "sat";
-    spec.stepTimeoutSeconds = 120.0;
-    spec.totalTimeoutSeconds = 120.0;
-    client.sendCompile(1, spec);
+    client.sendCompile(1, longSearchSpec());
     client.sendCancel(1);
 
     const auto frame = client.readMessage();
@@ -154,11 +165,7 @@ TEST_F(NetDaemonTest, DeadlinePropagatesThroughTheWire)
     RunningDaemon daemon(options);
     EncodingClient client = EncodingClient::overUnix(socketPath());
 
-    api::RequestSpec spec;
-    spec.problem = "modes:8";
-    spec.strategy = "sat";
-    spec.stepTimeoutSeconds = 120.0;
-    spec.totalTimeoutSeconds = 120.0;
+    api::RequestSpec spec = longSearchSpec();
     spec.deadlineSeconds = 0.1;
     const CompileReply reply = client.compile(1, spec);
     EXPECT_EQ(reply.status, api::ResultStatus::DeadlineExceeded);
@@ -274,6 +281,32 @@ TEST_F(NetDaemonTest, MalformedRequestsDegradeToErrorResults)
     EXPECT_EQ(frame->payload, "alive");
 }
 
+TEST_F(NetDaemonTest, OversizedHamiltonianIsAnErrorResult)
+{
+    ServerOptions options;
+    options.unixPath = socketPath();
+    RunningDaemon daemon(options);
+    EncodingClient client = EncodingClient::overUnix(socketPath());
+
+    // 34 modes fit the 64-qubit ceiling but not a Hamiltonian's
+    // 32-mode limit: the spec is rejected while it is parsed, on
+    // the loop, instead of aborting the daemon.
+    api::RequestSpec spec;
+    spec.problem = "hubbard1d:17";
+    spec.strategy = "bravyi-kitaev";
+    const CompileReply reply = client.compile(1, spec);
+    EXPECT_EQ(reply.status, api::ResultStatus::Error);
+    EXPECT_NE(reply.message.find("32-mode limit"), std::string::npos)
+        << reply.message;
+    EXPECT_TRUE(reply.resultText.empty());
+
+    client.sendPing(2, "alive");
+    const auto frame = client.readMessage();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->type, MessageType::Pong);
+    EXPECT_EQ(frame->payload, "alive");
+}
+
 TEST_F(NetDaemonTest, TopologyRequestsRoundTripAndRejectCleanly)
 {
     ServerOptions options;
@@ -370,11 +403,7 @@ TEST_F(NetDaemonTest, PipelinedRequestsCompleteOutOfOrder)
     // A slow SAT search pipelined before two instant closed-form
     // requests: the fast ones must come back first (completion
     // order), and the slow one is cancelled to finish the test.
-    api::RequestSpec slow;
-    slow.problem = "modes:8";
-    slow.strategy = "sat";
-    slow.stepTimeoutSeconds = 120.0;
-    slow.totalTimeoutSeconds = 120.0;
+    const api::RequestSpec slow = longSearchSpec();
     api::RequestSpec fast;
     fast.problem = "modes:3";
     fast.strategy = "bravyi-kitaev";
@@ -409,13 +438,8 @@ TEST_F(NetDaemonTest, ShutdownWithASearchInFlightIsPrompt)
     auto daemon = std::make_unique<RunningDaemon>(options);
     EncodingClient client = EncodingClient::overUnix(socketPath());
 
-    // Far too large to finish within its budgets.
-    api::RequestSpec spec;
-    spec.problem = "modes:8";
-    spec.strategy = "sat";
-    spec.stepTimeoutSeconds = 120.0;
-    spec.totalTimeoutSeconds = 120.0;
-    client.sendCompile(1, spec);
+    // Far too long to finish within its budgets.
+    client.sendCompile(1, longSearchSpec());
     Timer waiting;
     while (daemon->server.service().serviceStats().submitted == 0) {
         ASSERT_LT(waiting.seconds(), 30.0) << "never submitted";

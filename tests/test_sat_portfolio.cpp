@@ -91,7 +91,7 @@ TEST(PortfolioSolver, SimpleSatAndFullModel)
     EXPECT_EQ(solver.modelValue(b), LBool::True);
 }
 
-TEST(PortfolioSolver, UnsatIsDetectedThroughPreprocessing)
+TEST(PortfolioSolver, UnsatFormulaIsRefuted)
 {
     PortfolioSolver solver(withInstances(2, 1));
     const Var a = solver.newVar();
@@ -103,7 +103,7 @@ TEST(PortfolioSolver, UnsatIsDetectedThroughPreprocessing)
     EXPECT_EQ(solver.solve(), SolveStatus::Unsat);
 }
 
-TEST(PortfolioSolver, ModelCoversEliminatedVariables)
+TEST(PortfolioSolver, ModelCoversAuxiliaryVariables)
 {
     // The model covers every variable, a Tseitin-style auxiliary
     // (y <-> a AND b) included.
@@ -123,7 +123,7 @@ TEST(PortfolioSolver, ModelCoversEliminatedVariables)
     EXPECT_EQ(solver.modelValue(y), LBool::True);
 }
 
-TEST(PortfolioSolver, FrozenVariablesAcceptLaterClauses)
+TEST(PortfolioSolver, ClausesAddedBetweenSolvesTightenTheFormula)
 {
     PortfolioSolver solver(withInstances(2, 1));
     const Var a = solver.newVar();
@@ -139,7 +139,7 @@ TEST(PortfolioSolver, FrozenVariablesAcceptLaterClauses)
     EXPECT_EQ(solver.solve(), SolveStatus::Unsat);
 }
 
-TEST(PortfolioSolver, AssumptionsOnFirstSolveSkipPreprocessing)
+TEST(PortfolioSolver, AssumptionsOnTheFirstSolveAreNotPermanent)
 {
     PortfolioSolver solver(withInstances(2, 1));
     const Var a = solver.newVar();

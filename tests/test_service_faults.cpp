@@ -21,6 +21,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "api/model_spec.h"
 #include "api/serialize.h"
 #include "api/service.h"
 #include "api/strategy_registry.h"
@@ -41,6 +42,23 @@ fastRequest(std::size_t modes, const std::string &strategy)
     request.stepTimeoutSeconds = 10.0;
     request.totalTimeoutSeconds = 30.0;
     return request;
+}
+
+/**
+ * hubbard:1x2 under `sat` with 600 s budgets. Its total-weight
+ * stage is proved at once, and its Eq. 14 descent searches a
+ * 13.5k-clause model that builds in about a millisecond and stays
+ * unproved for seconds, so a cancel or a deadline lands mid-search.
+ */
+CompilationRequest
+longSearchRequest()
+{
+    RequestSpec spec;
+    spec.problem = "hubbard:1x2";
+    spec.strategy = "sat";
+    spec.stepTimeoutSeconds = 600.0;
+    spec.totalTimeoutSeconds = 600.0;
+    return buildRequest(spec);
 }
 
 /** A fresh scratch directory under the system temp path. */
@@ -215,12 +233,8 @@ TEST(ServiceFaults, PreCancelledRequestDegradesToBaseline)
 
 TEST(ServiceFaults, CancellationStopsARunningSearch)
 {
-    // N = 7's first SAT step takes seconds; N = 6 reaches its
-    // lower bound, and with it a proof, in a few hundred ms.
     CompilerService service;
-    CompilationRequest request = fastRequest(7, "sat");
-    request.stepTimeoutSeconds = 600.0;
-    request.totalTimeoutSeconds = 600.0;
+    CompilationRequest request = longSearchRequest();
     const CancellationToken token = request.cancellation;
 
     Timer timer;
@@ -308,13 +322,11 @@ TEST(ServiceFaults, DeadlineHitIsDeterministic)
 
 TEST(ServiceFaults, DeadlineBoundedLargeRequestServesValidEncoding)
 {
-    // Fig. 7 scale: N = 7's first SAT step takes seconds, but a
+    // The Eq. 14 descent would run for minutes, but a
     // deadline-bound request must come back almost immediately with
     // a valid (baseline-or-better) encoding.
     Compiler compiler;
-    CompilationRequest request = fastRequest(7, "sat");
-    request.stepTimeoutSeconds = 60.0;
-    request.totalTimeoutSeconds = 60.0;
+    CompilationRequest request = longSearchRequest();
     request.deadlineSeconds = 0.25;
     Timer timer;
     const auto result = compiler.compile(request);

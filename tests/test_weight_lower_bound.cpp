@@ -7,7 +7,8 @@
  * form against a brute-force minimum, the inequality it rests on
  * against every maximal anticommuting set on a few qubits, the
  * bound against the SAT model's own refutations, against the
- * closed-form baselines, and finally the descent that stops there.
+ * closed-form baselines and the paired ternary tree that meets it,
+ * and finally the descents that stop there.
  */
 
 #include <gtest/gtest.h>
@@ -212,14 +213,58 @@ TEST(TotalWeightLowerBound, BaselinesNeverBeatTheBound)
     }
 }
 
+TEST(TotalWeightLowerBound, PairedTernaryTreeMeetsTheBound)
+{
+    // The bound is tight at every N, vacuum pairing included.
+    for (std::size_t modes = 1; modes <= pauli::PauliString::maxQubits;
+         ++modes) {
+        const auto tree = enc::pairedTernaryTree(modes);
+        const auto v = enc::validateEncoding(tree);
+        EXPECT_TRUE(v.valid()) << "N=" << modes << ": " << v.detail;
+        EXPECT_TRUE(v.xyPairing) << "N=" << modes << ": " << v.detail;
+        EXPECT_TRUE(v.vacuumPreserving)
+            << "N=" << modes << ": " << v.detail;
+        EXPECT_EQ(tree.totalWeight(), enc::totalWeightLowerBound(modes))
+            << "N=" << modes;
+    }
+}
+
+TEST(TotalWeightLowerBound, PairedTreeStartIsProvedWithoutAModel)
+{
+    // By default a total-weight descent starts at the paired tree,
+    // which already sits at the bound: proved, with no SAT call and
+    // no clause, whether or not vacuum pairing is required. The
+    // default also asks for the independence family, which is
+    // fatal past 8 modes had a model been built.
+    for (std::size_t modes = 1; modes <= 32; ++modes) {
+        for (const bool vacuum : {true, false}) {
+            core::DescentOptions options;
+            options.vacuumPreservation = vacuum;
+            const auto result = core::DescentSolver(modes, options).solve();
+            EXPECT_TRUE(result.provedOptimal)
+                << "N=" << modes << " vacuum=" << vacuum;
+            EXPECT_EQ(result.termination,
+                      core::DescentTermination::Completed);
+            EXPECT_EQ(result.satCalls, 0u)
+                << "N=" << modes << " vacuum=" << vacuum;
+            EXPECT_EQ(result.numClauses, 0u)
+                << "N=" << modes << " vacuum=" << vacuum;
+            EXPECT_EQ(result.cost, enc::totalWeightLowerBound(modes))
+                << "N=" << modes << " vacuum=" << vacuum;
+            EXPECT_EQ(result.encoding.totalWeight(), result.cost);
+        }
+    }
+}
+
 TEST(TotalWeightLowerBound, DescentProvesAtTheBoundWithoutUnsat)
 {
-    // Full SAT at N = 5 and 6 reaches the bound on improving steps
-    // alone; refuting one below it would take far longer than the
-    // whole descent (about 45 s at N = 5).
+    // Full SAT from Bravyi-Kitaev at N = 5 and 6 reaches the bound
+    // on improving steps alone; refuting one below it would take
+    // far longer than the whole descent (about 45 s at N = 5).
     for (const std::size_t modes : {5u, 6u}) {
         std::vector<core::DescentProgress> reports;
         core::DescentOptions options;
+        options.pairedTreeStart = false;
         options.stepTimeoutSeconds = 10.0;
         options.totalTimeoutSeconds = 60.0;
         options.progress = [&](const core::DescentProgress &p) {
